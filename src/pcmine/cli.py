@@ -8,7 +8,6 @@ All output except the time_* lines is byte-identical across reruns.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from dataclasses import dataclass
@@ -177,11 +176,7 @@ def cmd_bench(args) -> int:
         if not args.quiet:
             print(f"wrote {len(rows)} rows to {args.stats_out}")
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(dataset_io.STATS_HEADER)
-        for row in rows:
-            writer.writerow([row.dataset, row.algorithm, row.sigma,
-                             row.num_frequent, row.num_candidates, row.runtime_ms])
+        dataset_io.write_stats_csv(rows, sys.stdout)
     return EXIT_OK
 
 

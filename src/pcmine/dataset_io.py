@@ -124,11 +124,16 @@ class StatsRow:
     runtime_ms: float
 
 
+def write_stats_csv(rows: Iterable[StatsRow], stream) -> None:
+    """Write the fixed header and one CSV line per run to an open text stream."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(STATS_HEADER)
+    for row in rows:
+        writer.writerow([row.dataset, row.algorithm, row.sigma,
+                         row.num_frequent, row.num_candidates, row.runtime_ms])
+
+
 def write_stats(rows: Iterable[StatsRow], path) -> None:
-    """Write one CSV line per run under the fixed header."""
+    """Write the stats CSV to a file."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(STATS_HEADER)
-        for row in rows:
-            writer.writerow([row.dataset, row.algorithm, row.sigma,
-                             row.num_frequent, row.num_candidates, row.runtime_ms])
+        write_stats_csv(rows, fh)

@@ -9,6 +9,10 @@ all of its subsets at once; an infrequent one (above the pair level) spawns
 its one-smaller subsets as new candidates. Each distinct candidate's support
 is evaluated at most once, which is where the saving over level-wise joins
 comes from on databases whose transactions overlap heavily.
+
+Each evaluation is one PCTree.support() query, which the tree answers from
+its vertical bit index; the paper's pruned tree walk, PCTree.walk_support(),
+is kept as the reference those answers are tested against.
 """
 
 from __future__ import annotations
@@ -95,11 +99,14 @@ def mine(tree: PCTree, sigma: int) -> MiningResult:
     frequent: set[Itemset] = {
         (item,) for item, count in tree.frequency_table.items() if count >= sig
     }
-    pool = candidate_head_set(tree, sig)
+    levels: dict[int, set[Itemset]] = {}
+    for head in candidate_head_set(tree, sig):
+        levels.setdefault(len(head), set()).add(head)
     examined: list[Itemset] = []
-    k_max = max((len(head) for head in pool), default=0)
+    k_max = max(levels, default=0)
     for k in range(k_max, 1, -1):
-        for candidate in sorted(f for f in pool if len(f) == k):
+        below = levels.setdefault(k - 1, set())
+        for candidate in sorted(levels.pop(k, ())):
             if candidate in frequent:
                 continue
             sup = tree.support(encode(candidate, table))
@@ -107,7 +114,7 @@ def mine(tree: PCTree, sigma: int) -> MiningResult:
             if sup >= sig:
                 frequent.update(_nonempty_subsets(candidate))
             elif k > 2:
-                pool.update(combinations(candidate, k - 1))
+                below.update(combinations(candidate, k - 1))
     supports = {f: tree.support(encode(f, table)) for f in frequent}
     maximal = tuple(sorted(_maximal_members(frequent)))
     return MiningResult(frequent=supports, maximal=maximal, examined=tuple(examined), sigma=sig)

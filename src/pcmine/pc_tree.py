@@ -3,21 +3,27 @@
 Each inserted transaction becomes (or bumps) one node keyed by its prime-coded
 value. Every child's value divides its parent's value, so each root-to-leaf
 path is a strictly descending divisibility chain and the root's children, the
-heads, are the values nothing inserted so far fits under. Support queries sum
-local counts over nodes the query value divides, skipping a whole subtree as
-soon as its top value fails the test: descendant values divide their
-ancestors', so non-divisibility propagates all the way down.
+heads, are the values nothing inserted so far fits under.
+
+support() answers from a vertical index over the tree's distinct nodes: one
+bit row per item (bit i set when node i holds that item) and the
+nodes' local counts split into binary weight planes, so a query is an AND of
+its items' rows followed by one popcount per plane. The paper's own query,
+walk_support(), stays as the reference oracle: it sums local counts over
+nodes the query value divides, skipping a whole subtree as soon as its top
+value fails the test, since descendant values divide their ancestors' and
+non-divisibility propagates all the way down.
 
 A node's global_count caches the local counts along its own root path. It is
-maintained for every insertion and checked by validate(), but support() does
-not use it: the same query value can divide nodes on several branches, and
+maintained for every insertion and checked by validate(), but neither query
+uses it: the same query value can divide nodes on several branches, and
 path-local sums cannot see across branches.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .baselines import TransactionDB
 from .prime_codec import Itemset, PrimeTable, as_itemset, build_prime_table, encode
@@ -41,13 +47,79 @@ class PCNode:
         return f"PCNode({self.value}, local={self.local_count}, global={self.global_count})"
 
 
+class NodeBitIndex:
+    """Vertical bitset index over a tree's distinct nodes, for support counts.
+
+    Node i (in the order given) is bit i. Each prime has a row with bit i set
+    when node i holds that prime's item, and the nodes' local counts are split
+    into binary weight planes: bit i of plane j is bit j of node i's count.
+    The support of a value is then sum_j popcount(AND of its rows & plane_j)
+    << j. Items no node holds get no row. Immutable once built.
+    """
+
+    __slots__ = ("_factors", "_rows", "_planes")
+
+    def __init__(self, nodes: Collection[PCNode], table: PrimeTable):
+        # Rows fill as bytearrays and convert to ints once, which keeps the
+        # build linear in the total size of the nodes; OR-ing bits into big
+        # ints one at a time would be quadratic.
+        rows: dict[int, bytearray] = {}
+        planes: list[bytearray] = []
+        width = (len(nodes) + 7) // 8
+        for i, node in enumerate(nodes):
+            byte, bit = i >> 3, 1 << (i & 7)
+            for item in node.items:
+                row = rows.get(item)
+                if row is None:
+                    row = rows[item] = bytearray(width)
+                row[byte] |= bit
+            count = node.local_count
+            while len(planes) < count.bit_length():
+                planes.append(bytearray(width))
+            for j in range(count.bit_length()):
+                if count >> j & 1:
+                    planes[j][byte] |= bit
+        self._rows = {table.prime_for(item): int.from_bytes(row, "little")
+                      for item, row in rows.items()}
+        self._factors = tuple((prime, prime * prime) for prime in sorted(self._rows))
+        self._planes = tuple(int.from_bytes(plane, "little") for plane in planes)
+
+    def count(self, value: int) -> int:
+        """Summed local counts of the nodes whose values value divides (value >= 1)."""
+        rows = self._rows
+        hit = -1  # every node
+        residue = value
+        for prime, square in self._factors:
+            if square > residue:
+                break
+            if residue % prime == 0:
+                residue //= prime
+                if residue % prime == 0:
+                    return 0  # a squared prime divides no square-free node value
+                hit &= rows[prime]
+        if residue > 1:
+            # No row prime below the break point divides residue, and two
+            # row primes from there up would multiply past the break. So
+            # residue is one row prime, or it holds a prime no node has and
+            # the count is 0.
+            hit &= rows.get(residue, 0)
+        total = 0
+        for j, plane in enumerate(self._planes):
+            total += (hit & plane).bit_count() << j
+        return total
+
+
 class PCTree:
     """Prime-coded transaction tree built in one pass over a database.
 
-    The tree is meant to be fully built before it is queried; support() and
-    the frequency table are plain reads afterwards, so concurrent queries are
-    safe. Pass keep_transactions=True to retain the raw itemset multiset for
-    oracle checks in tests; production builds can leave it off.
+    The tree is meant to be fully built before it is queried; insert() must
+    not run alongside anything else. The first support() after an insert()
+    builds the vertical index into a local and publishes it with one
+    attribute store, so first queries racing on a fresh tree at worst build
+    it twice and always read a complete index. After that, support(),
+    walk_support() and the frequency table are plain reads, so concurrent
+    queries are safe. Pass keep_transactions=True to retain the raw itemset
+    multiset for oracle checks in tests; production builds can leave it off.
     """
 
     def __init__(self, prime_table: PrimeTable, keep_transactions: bool = False):
@@ -59,6 +131,7 @@ class PCTree:
         self.transactions: list[Itemset] | None = [] if keep_transactions else None
         self._node_by_value: dict[int, PCNode] = {}
         self._births = 0
+        self._index: NodeBitIndex | None = None
 
     @property
     def node_count(self) -> int:
@@ -85,6 +158,7 @@ class PCTree:
         self.transaction_count += 1
         if self.transactions is not None:
             self.transactions.append(x)
+        self._index = None
 
         node = self._node_by_value.get(value)
         if node is not None:
@@ -142,18 +216,36 @@ class PCTree:
         return best
 
     def _refresh_global(self, node: PCNode) -> None:
-        # global_count = own local count + parent's global count, root = 0
-        base = 0 if node.parent is self.root else node.parent.global_count
-        node.global_count = node.local_count + base
-        for child in node.children:
-            self._refresh_global(child)
+        # global_count = own local count + parent's global count, root = 0.
+        # Iterative, parents before children: chains can be thousands deep.
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            base = 0 if node.parent is self.root else node.parent.global_count
+            node.global_count = node.local_count + base
+            stack.extend(node.children)
 
     def heads(self) -> tuple[int, ...]:
         """Values of the root's children, in creation order."""
         return tuple(child.value for child in self.root.children)
 
     def support(self, value: int) -> int:
-        """Number of ingested transactions whose itemset contains value's itemset."""
+        """Number of ingested transactions whose itemset contains value's itemset.
+
+        Answered from the vertical index over the distinct nodes, built on the
+        first query after an insert. A value holding a prime from outside the
+        table, or a table prime twice, divides no node and gets 0, as in
+        walk_support().
+        """
+        if value < 1:
+            raise ValueError(f"transaction values are positive, got {value}")
+        index = self._index
+        if index is None:
+            index = self._index = NodeBitIndex(self._node_by_value.values(), self.prime_table)
+        return index.count(value)
+
+    def walk_support(self, value: int) -> int:
+        """The paper's subtree-pruned tree walk; the reference oracle for support()."""
         if value < 1:
             raise ValueError(f"transaction values are positive, got {value}")
         total = 0
@@ -175,8 +267,8 @@ class PCTree:
 
         The structural checks (counts, global recurrence, divisibility
         chains, tree-wide value uniqueness) are linear in the tree. deep=True
-        additionally cross-checks every node's cached factor set and the item
-        frequency table against divisibility queries.
+        additionally cross-checks every node's cached factor set, and the item
+        frequency table against both support() and walk_support().
         """
         problems = []
         seen: dict[int, PCNode] = {}
@@ -220,11 +312,14 @@ class PCTree:
                         f"node {node.value}: cached items {node.items} disagree with the value"
                     )
             for item, count in self.frequency_table.items():
-                got = self.support(self.prime_table.prime_for(item))
-                if got != count:
-                    problems.append(
-                        f"item {item}: frequency table says {count}, tree queries say {got}"
-                    )
+                prime = self.prime_table.prime_for(item)
+                for oracle in (self.support, self.walk_support):
+                    got = oracle(prime)
+                    if got != count:
+                        problems.append(
+                            f"item {item}: frequency table says {count}, "
+                            f"{oracle.__name__}() says {got}"
+                        )
             if self.transactions is not None and len(self.transactions) != self.transaction_count:
                 problems.append("retained transaction list is out of step with the count")
         return problems

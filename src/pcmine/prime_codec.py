@@ -10,7 +10,8 @@ itemsets overflow machine words, so values are plain Python ints throughout.
 
 from __future__ import annotations
 
-from itertools import takewhile
+from itertools import compress
+from math import isqrt, log
 from typing import Iterable
 
 Itemset = tuple[int, ...]
@@ -33,20 +34,18 @@ def as_itemset(items: Iterable[int]) -> Itemset:
 def first_n_primes(n: int) -> list[int]:
     """The first n primes, ascending.
 
-    Trial division against the primes found so far; plenty for catalog-sized
-    item universes (thousands of items).
+    Sieve of Eratosthenes up to the bound p_n < n (ln n + ln ln n), which
+    holds for n >= 6 (Rosser); 11 covers the first five primes.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        return []
-    primes = [2]
-    candidate = 3
-    while len(primes) < n:
-        if all(candidate % p for p in takewhile(lambda p: p * p <= candidate, primes)):
-            primes.append(candidate)
-        candidate += 2
-    return primes
+    limit = 11 if n < 6 else int(n * (log(n) + log(log(n)))) + 1
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(compress(range(limit + 1), sieve))[:n]
 
 
 class PrimeTable:

@@ -1,4 +1,8 @@
-"""Tree tests: derived demo structure, oracle-checked supports, invariant suite."""
+"""Tree tests: derived demo structure, oracle-checked supports, invariant suite.
+
+support() answers from the vertical node index; walk_support(), the paper's
+pruned tree walk, and a scan of the raw transactions are its oracles.
+"""
 
 import random
 from itertools import combinations
@@ -7,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmine.baselines import TransactionDB
+from pcmine.baselines import TransactionDB, apriori_mine
 from pcmine.dataset_io import SyntheticSpec, generate_synthetic
-from pcmine.pc_tree import PCNode, PCTree, build_tree
+from pcmine.pc_miner import mine
+from pcmine.pc_tree import NodeBitIndex, PCNode, PCTree, build_tree
 from pcmine.prime_codec import build_prime_table, encode
 
 A, B, C, D, E, F = range(6)
@@ -145,9 +150,70 @@ def test_validate_catches_stale_frequency_table(demo_tree):
     assert demo_tree.validate(deep=False) == []  # shallow scope skips it
 
 
+def test_validate_checks_the_frequency_table_against_both_oracles(demo_tree):
+    demo_tree.frequency_table[A] += 1
+    problems = demo_tree.validate()
+    assert any(", support() says" in p for p in problems)
+    assert any(", walk_support() says" in p for p in problems)
+
+
+def test_validate_catches_a_stale_support_index(demo_tree):
+    # an index that misses the first node disagrees with the table; the walk does not
+    nodes = list(demo_tree._node_by_value.values())
+    demo_tree._index = NodeBitIndex(nodes[1:], demo_tree.prime_table)
+    problems = demo_tree.validate()
+    assert problems
+    assert all(", support() says" in p for p in problems)
+
+
 def test_validate_catches_count_drift(demo_tree):
     demo_tree.transaction_count += 1
     assert any("sum" in p for p in demo_tree.validate(deep=False))
+
+
+# ------------------------------------------------------- support queries
+
+
+def test_insert_after_support_is_seen(demo_tree):
+    assert demo_tree.support(70) == 5  # builds the index
+    demo_tree.insert((A, C, D))  # bumps the existing node 70
+    assert demo_tree.support(70) == 6
+    demo_tree.insert((A, B, C, D, E, F))  # a new head
+    assert demo_tree.support(70) == 7
+    assert demo_tree.support(30030) == 1
+    assert demo_tree.support(1) == 10
+    assert demo_tree.validate() == []
+
+
+@pytest.mark.parametrize("value", [17, 70 * 17, 17 * 19, 4, 70 * 5, 2 * 3 * 5 * 7 * 11 * 13 * 13])
+def test_foreign_or_squared_primes_support_nothing(demo_tree, value):
+    assert demo_tree.support(value) == 0
+    assert demo_tree.walk_support(value) == 0
+
+
+@pytest.mark.parametrize("value", [0, -70])
+def test_non_positive_values_are_rejected(demo_tree, value):
+    with pytest.raises(ValueError):
+        demo_tree.support(value)
+    with pytest.raises(ValueError):
+        demo_tree.walk_support(value)
+
+
+def test_deep_chain_builds_and_mines_like_apriori():
+    # {0}, {0, 1}, ..., {0..1199}: every insert adopts the previous head, so the
+    # tree is one chain 1,200 levels deep (the count refresh used to recurse per level)
+    depth = 1200
+    db = TransactionDB.from_itemsets([range(k + 1) for k in range(depth)])
+    tree = build_tree(db)
+    assert tree.heads() == (encode(range(depth), tree.prime_table),)
+    assert tree.validate(deep=False) == []
+    nodes = list(tree._node_by_value.values())  # creation order: node k holds {0..k}
+    assert [node.global_count for node in nodes] == [depth - k for k in range(depth)]
+    assert tree.support(1) == tree.walk_support(1) == depth
+    sigma = depth - 8  # items 0..8 are frequent
+    result = mine(tree, sigma)
+    assert result.frequent == apriori_mine(db, sigma).frequent
+    assert len(result.frequent) == 2**9 - 1
 
 
 # ------------------------------------------------------- oracle equivalence
@@ -217,6 +283,46 @@ def databases(draw):
         st.sets(st.integers(min_value=0, max_value=n_items - 1), min_size=1),
         min_size=1, max_size=24))
     return TransactionDB.from_itemsets(rows, universe=range(n_items))
+
+
+def identical_rows():
+    """One itemset many times: its count spans several binary weight planes."""
+    return st.builds(lambda row, copies: [row] * copies,
+                     st.sets(st.integers(min_value=0, max_value=7), min_size=1),
+                     st.integers(min_value=1, max_value=300))
+
+
+def giant_rows():
+    """One transaction over a wide universe, with a few small ones beside it."""
+    return st.builds(lambda width, others: [range(width)] + others,
+                     st.integers(min_value=1, max_value=150),
+                     st.lists(st.sets(st.integers(min_value=0, max_value=149), min_size=1),
+                              max_size=4))
+
+
+def chain_rows():
+    """Nested prefixes {0..k} in any order: one deep chain of divisors."""
+    return st.integers(min_value=1, max_value=60).flatmap(
+        lambda depth: st.permutations([tuple(range(k + 1)) for k in range(depth)]))
+
+
+@st.composite
+def adversarial_databases(draw):
+    rows = draw(st.one_of(identical_rows(), giant_rows(), chain_rows()))
+    return TransactionDB.from_itemsets(rows)
+
+
+@given(db=st.one_of(databases(), adversarial_databases()), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_support_index_matches_walk_and_raw_count(db, data):
+    tree = build_tree(db, keep_transactions=True)
+    assert tree.validate() == []
+    table = tree.prime_table
+    queries = data.draw(st.lists(st.sets(st.sampled_from(db.universe)), min_size=1, max_size=8))
+    for items in queries:
+        value = encode(items, table)
+        assert tree.support(value) == tree.walk_support(value) == count_oracle(
+            tree.transactions, items)
 
 
 @given(db=databases())

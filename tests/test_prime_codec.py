@@ -1,6 +1,6 @@
 """Codec tests: known values, an independent sieve oracle, and round-trip laws."""
 
-from itertools import combinations
+from itertools import combinations, takewhile
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +21,7 @@ A, B, C, D, E, F = range(6)
 
 
 def sieve_oracle(limit):
-    """Sieve of Eratosthenes, independent of the trial-division implementation."""
+    """Sieve of Eratosthenes up to a limit, written independently of first_n_primes."""
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
     for p in range(2, int(limit**0.5) + 1):
@@ -41,6 +41,23 @@ def test_first_n_primes_against_sieve():
     got = first_n_primes(200)
     assert got == sieve_oracle(got[-1])
     assert len(got) == 200
+
+
+def trial_division_oracle(n):
+    """The first n primes by trial division against the primes found so far."""
+    primes = [2] if n else []
+    candidate = 3
+    while len(primes) < n:
+        if all(candidate % p for p in takewhile(lambda p: p * p <= candidate, primes)):
+            primes.append(candidate)
+        candidate += 2
+    return primes
+
+
+def test_first_n_primes_matches_trial_division():
+    assert first_n_primes(10_000) == trial_division_oracle(10_000)
+    for n in range(12):  # around the small-n limit and the n >= 6 bound
+        assert first_n_primes(n) == trial_division_oracle(n)
 
 
 def test_first_n_primes_rejects_negative():
