@@ -5,6 +5,15 @@ value. Every child's value divides its parent's value, so each root-to-leaf
 path is a strictly descending divisibility chain and the root's children, the
 heads, are the values nothing inserted so far fits under.
 
+A new value goes into the first head's subtree, in creation order, that
+holds a multiple or a divisor of it. The stored divisors of a value with
+itemset x are exactly the products of x's subsets that are stored values, so
+while 2^|x| is at most the number of heads, insert() looks them up and walks
+them up to their heads instead of searching the heads' subtrees.
+Long transactions, where 2^|x| is astronomical, and trees with few heads keep
+the scan over the heads. Both searches need every children list in ascending
+birth (creation) order, and validate() checks it.
+
 support() answers from a vertical index over the tree's distinct nodes: one
 bit row per item (bit i set when node i holds that item) and the
 nodes' local counts split into binary weight planes, so a query is an AND of
@@ -23,6 +32,7 @@ path-local sums cannot see across branches.
 from __future__ import annotations
 
 from math import gcd
+from operator import attrgetter
 from typing import Collection, Iterable
 
 from .baselines import TransactionDB
@@ -142,12 +152,22 @@ class PCTree:
         """Ingest one transaction.
 
         A value already present anywhere in the tree only bumps that node's
-        local count (values are unique tree-wide). Otherwise the root
-        subtrees are scanned in creation order and the value lands in the
-        first one it is comparable with: below the deepest node it divides,
-        or at the top when it only has divisors in there, adopting the root
-        children that divide it (this is how a new superset replaces a head).
-        No comparable subtree at all makes it a fresh head.
+        local count (values are unique tree-wide). Otherwise the value lands
+        in the first root subtree, in creation order, that it is comparable
+        with: below the deepest node there that it divides, or as a new head
+        when that subtree only holds divisors of it. No comparable subtree
+        at all also makes it a new head. It then adopts the children of its
+        new parent that divide it (this is how a new superset replaces a
+        head).
+
+        Two searches give that same placement. When 2^|x| is at most the
+        number of heads, the divisors are looked up: they are the products
+        of x's subsets that are stored, walking them up gives the earliest
+        head holding one, and only the heads up to that one are tested for
+        a multiple. Otherwise, for long transactions and trees with few
+        heads, the heads' subtrees are scanned in order. Both rely on every
+        children list being in ascending birth order, which appending new
+        nodes and filtering out adopted ones preserves.
         """
         x = as_itemset(items)
         if not x:
@@ -166,21 +186,60 @@ class PCTree:
             self._refresh_global(node)
             return
 
-        head = self._accepting_head(value)
-        if head is not None and head.value % value == 0:
-            parent = self._deepest_multiple(head, value)
+        # 2^|x| <= heads, without building 2^|x| for a long transaction
+        if len(x) < len(self.root.children).bit_length():
+            parent, moved = self._place_by_lookup(x, value)
         else:
-            parent = self.root
+            parent, moved = self._place_by_scan(value)
         self._births += 1
         node = PCNode(value, x, birth=self._births, parent=parent)
-        moved = [c for c in parent.children if value % c.value == 0]
-        for child in moved:
-            parent.children.remove(child)
-            child.parent = node
+        if moved:
+            for child in moved:
+                child.parent = node
+            parent.children = [c for c in parent.children if c.parent is parent]
         node.children = moved
         parent.children.append(node)
         self._node_by_value[value] = node
         self._refresh_global(node)
+
+    def _place_by_lookup(self, x: Itemset, value: int) -> tuple[PCNode, list[PCNode]]:
+        """Parent and adopted children for a new value, found from its stored divisors."""
+        # A stored value divides value iff it is the product of a subset of x.
+        products = [1]
+        for item in x:
+            prime = self.prime_table.prime_for(item)
+            products += [p * prime for p in products]
+        by_value = self._node_by_value
+        divisors = [by_value[p] for p in products if p in by_value]
+        root = self.root
+        first = None  # earliest-born head with a divisor in its subtree
+        seen = set()
+        for node in divisors:
+            while node not in seen:
+                seen.add(node)
+                if node.parent is root:
+                    if first is None or node.birth < first.birth:
+                        first = node
+                    break
+                node = node.parent
+        parent = root
+        for head in root.children:
+            if head.value % value == 0:
+                parent = self._deepest_multiple(head, value)
+                break
+            if head is first:
+                break
+        moved = [node for node in divisors if node.parent is parent]
+        moved.sort(key=attrgetter("birth"))
+        return parent, moved
+
+    def _place_by_scan(self, value: int) -> tuple[PCNode, list[PCNode]]:
+        """Parent and adopted children for a new value, found by scanning the heads."""
+        head = self._accepting_head(value)
+        if head is None:
+            return self.root, []  # a root child dividing value would have been comparable
+        parent = self._deepest_multiple(head, value) if head.value % value == 0 else self.root
+        return parent, [c for c in parent.children if value % c.value == 0]
 
     def _accepting_head(self, value: int) -> PCNode | None:
         """First root child (creation order) whose subtree is comparable with value.
@@ -266,9 +325,10 @@ class PCTree:
         """Check tree invariants; returns one message per violation, empty when sound.
 
         The structural checks (counts, global recurrence, divisibility
-        chains, tree-wide value uniqueness) are linear in the tree. deep=True
-        additionally cross-checks every node's cached factor set, and the item
-        frequency table against both support() and walk_support().
+        chains, children in ascending birth order, tree-wide value
+        uniqueness) are linear in the tree. deep=True additionally
+        cross-checks every node's cached factor set, and the item frequency
+        table against both support() and walk_support().
         """
         problems = []
         seen: dict[int, PCNode] = {}
@@ -276,9 +336,13 @@ class PCTree:
         stack: list[PCNode] = [self.root]
         while stack:
             node = stack.pop()
+            last_birth = 0  # below every node's birth
             for child in node.children:
                 if child.parent is not node:
                     problems.append(f"node {child.value}: parent link does not match tree shape")
+                if child.birth <= last_birth:
+                    problems.append(f"node {child.value}: out of birth order among its siblings")
+                last_birth = child.birth
                 stack.append(child)
             if node is self.root:
                 continue

@@ -166,6 +166,12 @@ def test_validate_catches_a_stale_support_index(demo_tree):
     assert all(", support() says" in p for p in problems)
 
 
+def test_validate_catches_children_out_of_birth_order(demo_tree):
+    heads = demo_tree.root.children
+    heads[0], heads[1] = heads[1], heads[0]
+    assert any("birth order" in p for p in demo_tree.validate(deep=False))
+
+
 def test_validate_catches_count_drift(demo_tree):
     demo_tree.transaction_count += 1
     assert any("sum" in p for p in demo_tree.validate(deep=False))
@@ -350,3 +356,101 @@ def test_support_antitone_in_the_itemset(db, data):
     p = encode(p_items, table)
     q = encode(q_items, table)
     assert tree.support(p) <= tree.support(q)
+
+
+# ---------------------------------------------------- reference placement
+
+
+class RefNode:
+    def __init__(self, value, order, parent):
+        self.value = value
+        self.order = order
+        self.parent = parent
+        self.children = []
+        self.local_count = 1
+
+
+def subtree(node, depth=0):
+    """Every node at and below node, with its depth below node."""
+    yield node, depth
+    for child in node.children:
+        yield from subtree(child, depth + 1)
+
+
+def reference_shape(db):
+    """Tree shape from a deliberately naive placement, for comparison with build_tree.
+
+    The new value goes under the first head, in creation order, that is a
+    multiple of it or has any divisor of it in its subtree (every node is
+    tested; no gcd pruning). When that head is a multiple, the parent is the
+    deepest multiple below it, oldest first among equals; otherwise it is the
+    root. The new node adopts the parent's children that divide it.
+    """
+    table = build_prime_table(db.universe)
+    root = RefNode(None, 0, None)
+    nodes = {}
+    for _, items in db.transactions:
+        value = encode(items, table)
+        if value in nodes:
+            nodes[value].local_count += 1
+            continue
+        head = next((h for h in root.children
+                     if h.value % value == 0
+                     or any(value % n.value == 0 for n, _ in subtree(h))), None)
+        parent = root
+        if head is not None and head.value % value == 0:
+            multiples = [(n, d) for n, d in subtree(head) if n.value % value == 0]
+            parent = min(multiples, key=lambda nd: (-nd[1], nd[0].order))[0]
+        node = nodes[value] = RefNode(value, len(nodes) + 1, parent)
+        node.children = [c for c in parent.children if value % c.value == 0]
+        parent.children = [c for c in parent.children if value % c.value != 0] + [node]
+        for child in node.children:
+            child.parent = node
+
+    def path_count(node):
+        return 0 if node is root else node.local_count + path_count(node.parent)
+
+    return tuple(h.value for h in root.children), {
+        v: (n.parent.value, [c.value for c in n.children], n.local_count, path_count(n))
+        for v, n in nodes.items()}
+
+
+def tree_shape(tree):
+    return tree.heads(), {
+        v: (n.parent.value, [c.value for c in n.children], n.local_count, n.global_count)
+        for v, n in tree._node_by_value.items()}
+
+
+def wide_short_rows():
+    """Many short rows over a wide universe: many heads, so inserts look up divisors."""
+    return st.lists(st.sets(st.integers(min_value=0, max_value=29), min_size=1, max_size=3),
+                    min_size=100, max_size=200)
+
+
+@given(rows=st.one_of(wide_short_rows(), chain_rows(), giant_rows(), identical_rows()))
+@settings(max_examples=80, deadline=None)
+def test_placement_matches_the_naive_reference(rows):
+    db = TransactionDB.from_itemsets(rows)
+    tree = build_tree(db)
+    assert tree_shape(tree) == reference_shape(db)
+    assert tree.validate(deep=False) == []
+
+
+def test_wide_prefix_matches_reference_and_apriori(monkeypatch):
+    # 2,000 rows of the wide workload's database: the first inserts scan the
+    # few heads there are, the later ones look their divisors up
+    full = generate_synthetic(SyntheticSpec(8000, 60, 0.1, seed=3))
+    db = TransactionDB.from_itemsets(full.itemsets()[:2000], universe=full.universe)
+    calls = {"_place_by_scan": 0, "_place_by_lookup": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _method=getattr(PCTree, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(PCTree, name, counted)
+    tree = build_tree(db)
+    assert all(calls.values())
+    assert sum(calls.values()) == tree.node_count
+    assert tree_shape(tree) == reference_shape(db)
+    assert tree.validate() == []
+    sigma = 210  # 0.105 of the rows, as in the wide workload
+    assert mine(tree, sigma).frequent == apriori_mine(db, sigma).frequent
