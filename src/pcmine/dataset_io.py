@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .baselines import TransactionDB
-from .prime_codec import as_itemset
+from .prime_codec import Itemset, as_itemset
 
 STATS_HEADER = ("dataset", "algo", "min_sup", "num_frequent", "num_candidates", "runtime_ms")
 
@@ -31,24 +31,36 @@ def load_transactions(path) -> TransactionDB:
     Duplicate ids within a line are collapsed, blank lines are skipped and
     reported in one aggregate warning, and transaction ids run 1..n in file
     order over the lines that were kept.
+
+    Each distinct line is parsed once: a line whose exact text was seen
+    before reuses that line's itemset, so heavily duplicated files pay for
+    tokenizing and canonicalizing once per distinct line. Only lines that
+    parsed cleanly are remembered, so a bad token raises with the number of
+    the first line that holds it.
     """
     rows = []
+    parsed: dict[str, Itemset] = {}
+    universe: set[int] = set()
     skipped = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            items = []
-            for token in line.split():
-                if not (token.isascii() and token.isdigit()):
-                    raise TransactionParseError(f"{path}:{line_no}: bad item id {token!r}")
-                items.append(int(token))
-            itemset = as_itemset(items)
+            itemset = parsed.get(line)
+            if itemset is None:
+                items = []
+                for token in line.split():
+                    if not (token.isascii() and token.isdigit()):
+                        raise TransactionParseError(f"{path}:{line_no}: bad item id {token!r}")
+                    items.append(int(token))
+                itemset = parsed[line] = as_itemset(items)
+                universe.update(itemset)
             if not itemset:
                 skipped += 1
                 continue
             rows.append(itemset)
     if skipped:
         warnings.warn(f"{path}: skipped {skipped} empty transaction line(s)", stacklevel=2)
-    return TransactionDB.from_itemsets(rows)
+    # The rows are canonical already, so from_itemsets would only redo as_itemset.
+    return TransactionDB(tuple(enumerate(rows, start=1)), tuple(sorted(universe)))
 
 
 @dataclass(frozen=True)

@@ -53,12 +53,24 @@ def candidate_head(head: Itemset, frequencies: dict[int, int], sigma: int) -> It
 
 def _maximal_members(itemsets: Iterable[Itemset]) -> set[Itemset]:
     # Largest first: a set can only be absorbed by a strictly larger one.
-    kept: list[tuple[frozenset, Itemset]] = []
+    # Bit k of masks[item] is set when kept set k holds item, so the AND of
+    # a candidate's masks is the kept sets that contain it (all of them for
+    # the empty itemset).
+    masks: dict[int, int] = {}
+    kept: list[Itemset] = []
     for its in sorted(set(itemsets), key=lambda t: (-len(t), t)):
-        fs = frozenset(its)
-        if not any(fs <= other for other, _ in kept):
-            kept.append((fs, its))
-    return {its for _, its in kept}
+        hit = (1 << len(kept)) - 1
+        for item in its:
+            hit &= masks.get(item, 0)
+            if not hit:
+                break
+        if hit:
+            continue
+        bit = 1 << len(kept)
+        for item in its:
+            masks[item] = masks.get(item, 0) | bit
+        kept.append(its)
+    return set(kept)
 
 
 def maximal_frequent(frequent: Iterable[Itemset]) -> set[Itemset]:

@@ -5,6 +5,12 @@ value. Every child's value divides its parent's value, so each root-to-leaf
 path is a strictly descending divisibility chain and the root's children, the
 heads, are the values nothing inserted so far fits under.
 
+A repeated transaction only bumps its node's count, so placement depends only
+on the order in which distinct values first arrive. build_tree() therefore
+tallies the rows in order of first occurrence and inserts each distinct
+itemset once, with its multiplicity as the count: the same tree as one insert
+per row, with one placement search and one count refresh per distinct value.
+
 A new value goes into the first head's subtree, in creation order, that
 holds a multiple or a divisor of it. The stored divisors of a value with
 itemset x are exactly the products of x's subsets that are stored values, so
@@ -31,6 +37,7 @@ path-local sums cannot see across branches.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd
 from operator import attrgetter
 from typing import Collection, Iterable
@@ -44,10 +51,10 @@ class PCNode:
 
     __slots__ = ("value", "items", "local_count", "global_count", "children", "parent", "birth")
 
-    def __init__(self, value, items, birth, parent=None):
+    def __init__(self, value, items, birth, parent=None, local_count=1):
         self.value = value
         self.items = items  # cached factorization of value; must stay in agreement
-        self.local_count = 1
+        self.local_count = local_count
         self.global_count = 0
         self.children: list[PCNode] = []
         self.parent = parent
@@ -148,8 +155,14 @@ class PCTree:
         """Number of distinct transaction values stored."""
         return len(self._node_by_value)
 
-    def insert(self, items: Iterable[int]) -> None:
-        """Ingest one transaction.
+    def insert(self, items: Iterable[int], count: int = 1) -> None:
+        """Ingest count copies of one transaction (count >= 1).
+
+        The copies count everywhere a single insert would count once: in the
+        node's local count, the frequency table, transaction_count and the
+        retained transactions. Inserting a value once with count n gives the
+        same tree as n single inserts in a row, since only the first of those
+        places a node.
 
         A value already present anywhere in the tree only bumps that node's
         local count (values are unique tree-wide). Otherwise the value lands
@@ -169,20 +182,22 @@ class PCTree:
         children list being in ascending birth order, which appending new
         nodes and filtering out adopted ones preserves.
         """
+        if count < 1:
+            raise ValueError(f"a transaction is inserted at least once, got count {count}")
         x = as_itemset(items)
         if not x:
             raise ValueError("empty transactions carry no pattern information")
         value = encode(x, self.prime_table)
         for item in x:
-            self.frequency_table[item] += 1
-        self.transaction_count += 1
+            self.frequency_table[item] += count
+        self.transaction_count += count
         if self.transactions is not None:
-            self.transactions.append(x)
+            self.transactions.extend([x] * count)
         self._index = None
 
         node = self._node_by_value.get(value)
         if node is not None:
-            node.local_count += 1
+            node.local_count += count
             self._refresh_global(node)
             return
 
@@ -192,7 +207,7 @@ class PCTree:
         else:
             parent, moved = self._place_by_scan(value)
         self._births += 1
-        node = PCNode(value, x, birth=self._births, parent=parent)
+        node = PCNode(value, x, birth=self._births, parent=parent, local_count=count)
         if moved:
             for child in moved:
                 child.parent = node
@@ -390,8 +405,15 @@ class PCTree:
 
 
 def build_tree(db: TransactionDB, keep_transactions: bool = False) -> PCTree:
-    """One-pass tree construction over a whole database."""
+    """One-pass tree construction over a whole database.
+
+    The rows are tallied first, in order of first occurrence, and each
+    distinct itemset is inserted once with its multiplicity. Placement
+    depends only on the order in which distinct values first arrive, and a
+    repeat only bumps a count, so the tree is the same as one insert per row.
+    """
     tree = PCTree(build_prime_table(db.universe), keep_transactions=keep_transactions)
-    for _tid, items in db.transactions:
-        tree.insert(items)
+    tally = Counter(items for _tid, items in db.transactions)  # first-occurrence order
+    for items, count in tally.items():
+        tree.insert(items, count)
     return tree

@@ -1,9 +1,11 @@
 """Loader, synthetic generator, and stats writer tests."""
 
 import csv
+import warnings
 
 import pytest
 
+from pcmine.baselines import TransactionDB
 from pcmine.dataset_io import (
     STATS_HEADER,
     StatsRow,
@@ -55,6 +57,35 @@ def test_load_reports_bad_tokens_with_line_numbers(tmp_path):
 def test_load_rejects_negative_ids(tmp_path):
     with pytest.raises(TransactionParseError):
         load_transactions(write_file(tmp_path, "1 -3\n"))
+
+
+def test_load_repeated_lines_gives_every_row(tmp_path):
+    rows = [(3, 1), (2,), (3, 1), (1, 3), (2,), (5, 1, 2), (3, 1)] * 30
+    text = "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    db = load_transactions(write_file(tmp_path, text))
+    assert db == TransactionDB.from_itemsets(rows)
+    assert db.universe == (1, 2, 3, 5)
+    assert [tid for tid, _ in db.transactions] == list(range(1, len(rows) + 1))
+
+
+def test_load_canonicalizes_each_spelling_of_a_row(tmp_path):
+    db = load_transactions(write_file(tmp_path, "2 1\n1 2\n2 1\n1  2 2\n"))
+    assert [items for _, items in db.transactions] == [(1, 2)] * 4
+
+
+def test_load_counts_every_repeated_blank_line(tmp_path):
+    path = write_file(tmp_path, "1 2\n\n\n1 2\n\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        db = load_transactions(path)
+    assert [str(w.message) for w in caught] == [f"{path}: skipped 3 empty transaction line(s)"]
+    assert db.transactions == ((1, (1, 2)), (2, (1, 2)))
+
+
+def test_load_reports_the_line_of_a_bad_token_after_repeats(tmp_path):
+    path = write_file(tmp_path, "1 2\n4\n" * 250 + "1 2 x\n" + "1 2\n" * 10)
+    with pytest.raises(TransactionParseError, match=":501: bad item id 'x'"):
+        load_transactions(path)
 
 
 def test_load_missing_file(tmp_path):

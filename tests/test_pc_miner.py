@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from pcmine.baselines import TransactionDB, brute_force_mine
 from pcmine.dataset_io import SyntheticSpec, generate_synthetic
-from pcmine.pc_miner import candidate_head, candidate_head_set, maximal_frequent, mine
+from pcmine.pc_miner import (
+    _maximal_members,
+    candidate_head,
+    candidate_head_set,
+    maximal_frequent,
+    mine,
+)
 from pcmine.pc_tree import build_tree
 
 A, B, C, D, E, F = range(6)
@@ -155,3 +161,32 @@ def small_databases(draw):
 def test_mine_matches_brute_force_property(db, sigma):
     result = mine(build_tree(db), sigma)
     assert result.frequent == brute_force_mine(db, sigma).frequent
+
+
+# ------------------------------------------------------------ maximal members
+
+
+def pairwise_maximal_members(itemsets):
+    """The pairwise subset test _maximal_members used before its bitmasks; the reference."""
+    kept = []
+    for its in sorted(set(itemsets), key=lambda t: (-len(t), t)):
+        fs = frozenset(its)
+        if not any(fs <= other for other, _ in kept):
+            kept.append((fs, its))
+    return {its for _, its in kept}
+
+
+def test_maximal_members_empty_itemset():
+    assert _maximal_members([]) == set()
+    assert _maximal_members([()]) == {()}
+    assert _maximal_members([(), (), (A,)]) == {(A,)}
+
+
+@given(itemsets=st.lists(st.sets(st.integers(min_value=0, max_value=9), max_size=6)
+                         .map(lambda s: tuple(sorted(s))), max_size=60),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_maximal_members_matches_the_pairwise_reference(itemsets, data):
+    repeats = data.draw(st.lists(st.sampled_from(itemsets), max_size=10)) if itemsets else []
+    family = data.draw(st.permutations(itemsets + repeats))
+    assert _maximal_members(family) == pairwise_maximal_members(family)

@@ -90,6 +90,29 @@ def test_insert_rejects_empty_itemset():
         tree.insert(())
 
 
+def test_counted_insert_counts_every_copy():
+    tree = PCTree(build_prime_table(range(6)), keep_transactions=True)
+    tree.insert((C, D, F), count=3)
+    tree.insert((A, C, D, F), count=2)
+    tree.insert((C, D, F), count=4)
+    assert tree._node_by_value[455].local_count == 7
+    assert tree._node_by_value[455].global_count == 9
+    assert tree.transaction_count == 9
+    assert tree.frequency_table == {A: 2, B: 0, C: 9, D: 9, E: 0, F: 9}
+    assert sorted(tree.transactions) == [(A, C, D, F)] * 2 + [(C, D, F)] * 7
+    assert tree.validate() == []
+
+
+@pytest.mark.parametrize("items", [(C, D, F), (A, B)])
+@pytest.mark.parametrize("count", [0, -1])
+def test_insert_rejects_a_count_below_one_before_changing_anything(demo_tree, items, count):
+    before = full_shape(demo_tree), list(demo_tree.transactions)
+    with pytest.raises(ValueError):
+        demo_tree.insert(items, count)
+    assert (full_shape(demo_tree), list(demo_tree.transactions)) == before
+    assert demo_tree.validate() == []
+
+
 def test_insert_rejects_foreign_item():
     tree = PCTree(build_prime_table(range(6)))
     with pytest.raises(KeyError):
@@ -454,3 +477,64 @@ def test_wide_prefix_matches_reference_and_apriori(monkeypatch):
     assert tree.validate() == []
     sigma = 210  # 0.105 of the rows, as in the wide workload
     assert mine(tree, sigma).frequent == apriori_mine(db, sigma).frequent
+
+
+# ------------------------------------------------------------ counted inserts
+
+
+def full_shape(tree):
+    """Everything insertion order can change: node placement, counts, births, tables."""
+    nodes = {v: (n.parent.value, [c.value for c in n.children], n.local_count,
+                 n.global_count, n.birth)
+             for v, n in tree._node_by_value.items()}
+    return tree.heads(), nodes, tree.item_frequencies(), tree.transaction_count
+
+
+def row_by_row(db):
+    """The tree one plain insert per row gives, with the transactions kept."""
+    tree = PCTree(build_prime_table(db.universe), keep_transactions=True)
+    for _, items in db.transactions:
+        tree.insert(items)
+    return tree
+
+
+def assert_same_as_row_by_row(db, tree):
+    reference = row_by_row(db)
+    assert full_shape(tree) == full_shape(reference)
+    assert sorted(tree.transactions) == sorted(reference.transactions)
+    assert tree.validate() == []
+
+
+@st.composite
+def duplicate_heavy_databases(draw):
+    """Rows drawn with replacement from a small pool of itemsets, in shuffled order."""
+    pool = draw(st.lists(st.sets(st.integers(min_value=0, max_value=9), min_size=1),
+                         min_size=2, max_size=15))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=150))
+    rows = draw(st.permutations(rows))
+    return TransactionDB.from_itemsets(rows, universe=range(10))
+
+
+@given(db=duplicate_heavy_databases())
+@settings(max_examples=100, deadline=None)
+def test_tallied_build_matches_one_insert_per_row(db):
+    assert_same_as_row_by_row(db, build_tree(db, keep_transactions=True))
+
+
+def test_dense_prefix_inserts_once_per_distinct_itemset(monkeypatch):
+    # the first 4,000 rows of the dense workload's database, mostly repeats
+    full = generate_synthetic(SyntheticSpec(40000, 12, 0.6, seed=1))
+    db = TransactionDB.from_itemsets(full.itemsets()[:4000], universe=full.universe)
+    calls = []
+
+    def counted(self, items, count=1, _insert=PCTree.insert):
+        calls.append(count)
+        return _insert(self, items, count)
+
+    monkeypatch.setattr(PCTree, "insert", counted)
+    tree = build_tree(db, keep_transactions=True)
+    monkeypatch.undo()
+    distinct = set(db.itemsets())
+    assert len(calls) == len(distinct) == tree.node_count < len(db)
+    assert sum(calls) == len(db)
+    assert_same_as_row_by_row(db, tree)
