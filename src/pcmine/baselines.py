@@ -15,6 +15,11 @@ from typing import Iterable, Sequence
 from .prime_codec import Itemset, as_itemset
 
 BRUTE_FORCE_MAX_ITEMS = 24
+# Brute force tests every subset against every row, about 60 ns a pair in
+# CPython, so 2**25 subset-rows take about 2 s. `pcmine compare` skips brute
+# force past this much work even under the item cap: 24 items over 40,000
+# rows would take hours.
+BRUTE_FORCE_MAX_WORK = 2**25
 
 
 class UniverseTooLargeError(ValueError):

@@ -131,11 +131,15 @@ def cmd_compare(args) -> int:
     name, db = _load_db(args)
     sigma = resolve_sigma(args.min_sup, len(db))
     algos = ["pcminer", "apriori"]
-    if len(db.universe) <= baselines.BRUTE_FORCE_MAX_ITEMS:
-        algos.append("brute")
-    else:
-        print(f"note: brute force skipped ({len(db.universe)} items exceed "
+    n_items = len(db.universe)
+    if n_items > baselines.BRUTE_FORCE_MAX_ITEMS:
+        print(f"note: brute force skipped ({n_items} items exceed "
               f"the {baselines.BRUTE_FORCE_MAX_ITEMS}-item enumeration guard)")
+    elif 2**n_items * len(db) > baselines.BRUTE_FORCE_MAX_WORK:
+        print(f"note: brute force skipped (2**{n_items} subsets x {len(db)} rows exceed "
+              f"the {baselines.BRUTE_FORCE_MAX_WORK}-subset-row work guard)")
+    else:
+        algos.append("brute")
     outcomes = {algo: ALGORITHMS[algo](db, sigma) for algo in algos}
     reference = outcomes["pcminer"].frequent
     for algo in algos[1:]:

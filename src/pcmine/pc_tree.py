@@ -20,14 +20,15 @@ Long transactions, where 2^|x| is astronomical, and trees with few heads keep
 the scan over the heads. Both searches need every children list in ascending
 birth (creation) order, and validate() checks it.
 
-support() answers from a vertical index over the tree's distinct nodes: one
-bit row per item (bit i set when node i holds that item) and the
-nodes' local counts split into binary weight planes, so a query is an AND of
-its items' rows followed by one popcount per plane. The paper's own query,
-walk_support(), stays as the reference oracle: it sums local counts over
-nodes the query value divides, skipping a whole subtree as soon as its top
-value fails the test, since descendant values divide their ancestors' and
-non-divisibility propagates all the way down.
+support() takes an itemset and answers from a vertical index over the
+tree's distinct nodes: one bit row per item (bit i set when node i holds
+that item) and the nodes' local counts split into binary weight planes, so a
+query is an AND of its items' rows followed by one popcount per plane, with
+no prime arithmetic. The paper's own query, walk_support(), takes a
+prime-coded value and stays as the reference oracle: it sums local counts
+over nodes the query value divides, skipping a whole subtree as soon as its
+top value fails the test, since descendant values divide their ancestors'
+and non-divisibility propagates all the way down.
 
 A node's global_count caches the local counts along its own root path. It is
 maintained for every insertion and checked by validate(), but neither query
@@ -37,6 +38,7 @@ path-local sums cannot see across branches.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from math import gcd
 from operator import attrgetter
@@ -67,16 +69,16 @@ class PCNode:
 class NodeBitIndex:
     """Vertical bitset index over a tree's distinct nodes, for support counts.
 
-    Node i (in the order given) is bit i. Each prime has a row with bit i set
-    when node i holds that prime's item, and the nodes' local counts are split
-    into binary weight planes: bit i of plane j is bit j of node i's count.
-    The support of a value is then sum_j popcount(AND of its rows & plane_j)
-    << j. Items no node holds get no row. Immutable once built.
+    Node i (in the order given) is bit i. Each item has a row with bit i set
+    when node i holds it, and the nodes' local counts are split into binary
+    weight planes: bit i of plane j is bit j of node i's count. The support
+    of an itemset is then sum_j popcount(AND of its rows & plane_j) << j.
+    Items no node holds get no row. Immutable once built.
     """
 
-    __slots__ = ("_factors", "_rows", "_planes")
+    __slots__ = ("_rows", "_planes")
 
-    def __init__(self, nodes: Collection[PCNode], table: PrimeTable):
+    def __init__(self, nodes: Collection[PCNode]):
         # Rows fill as bytearrays and convert to ints once, which keeps the
         # build linear in the total size of the nodes; OR-ing bits into big
         # ints one at a time would be quadratic.
@@ -96,30 +98,15 @@ class NodeBitIndex:
             for j in range(count.bit_length()):
                 if count >> j & 1:
                     planes[j][byte] |= bit
-        self._rows = {table.prime_for(item): int.from_bytes(row, "little")
-                      for item, row in rows.items()}
-        self._factors = tuple((prime, prime * prime) for prime in sorted(self._rows))
+        self._rows = {item: int.from_bytes(row, "little") for item, row in rows.items()}
         self._planes = tuple(int.from_bytes(plane, "little") for plane in planes)
 
-    def count(self, value: int) -> int:
-        """Summed local counts of the nodes whose values value divides (value >= 1)."""
+    def count(self, items: Iterable[int]) -> int:
+        """Summed local counts of the nodes that hold every one of items."""
         rows = self._rows
-        hit = -1  # every node
-        residue = value
-        for prime, square in self._factors:
-            if square > residue:
-                break
-            if residue % prime == 0:
-                residue //= prime
-                if residue % prime == 0:
-                    return 0  # a squared prime divides no square-free node value
-                hit &= rows[prime]
-        if residue > 1:
-            # No row prime below the break point divides residue, and two
-            # row primes from there up would multiply past the break. So
-            # residue is one row prime, or it holds a prime no node has and
-            # the count is 0.
-            hit &= rows.get(residue, 0)
+        hit = -1  # every node; an item no node holds clears it
+        for item in items:
+            hit &= rows.get(item, 0)
         total = 0
         for j, plane in enumerate(self._planes):
             total += (hit & plane).bit_count() << j
@@ -180,7 +167,7 @@ class PCTree:
         a multiple. Otherwise, for long transactions and trees with few
         heads, the heads' subtrees are scanned in order. Both rely on every
         children list being in ascending birth order, which appending new
-        nodes and filtering out adopted ones preserves.
+        nodes and deleting adopted ones in place preserves.
         """
         if count < 1:
             raise ValueError(f"a transaction is inserted at least once, got count {count}")
@@ -208,12 +195,12 @@ class PCTree:
             parent, moved = self._place_by_scan(value)
         self._births += 1
         node = PCNode(value, x, birth=self._births, parent=parent, local_count=count)
-        if moved:
-            for child in moved:
-                child.parent = node
-            parent.children = [c for c in parent.children if c.parent is parent]
+        siblings = parent.children
+        for child in moved:  # ascending birth, like siblings
+            child.parent = node
+            del siblings[bisect_left(siblings, child.birth, key=attrgetter("birth"))]
         node.children = moved
-        parent.children.append(node)
+        siblings.append(node)
         self._node_by_value[value] = node
         self._refresh_global(node)
 
@@ -303,23 +290,25 @@ class PCTree:
         """Values of the root's children, in creation order."""
         return tuple(child.value for child in self.root.children)
 
-    def support(self, value: int) -> int:
-        """Number of ingested transactions whose itemset contains value's itemset.
+    def support(self, items: Iterable[int]) -> int:
+        """Number of ingested transactions that contain every one of items.
 
         Answered from the vertical index over the distinct nodes, built on the
-        first query after an insert. A value holding a prime from outside the
-        table, or a table prime twice, divides no node and gets 0, as in
-        walk_support().
+        first query after an insert. An item that no node holds gives 0, a
+        repeated item counts once, and the empty itemset gives
+        transaction_count.
         """
-        if value < 1:
-            raise ValueError(f"transaction values are positive, got {value}")
         index = self._index
         if index is None:
-            index = self._index = NodeBitIndex(self._node_by_value.values(), self.prime_table)
-        return index.count(value)
+            index = self._index = NodeBitIndex(self._node_by_value.values())
+        return index.count(items)
 
     def walk_support(self, value: int) -> int:
-        """The paper's subtree-pruned tree walk; the reference oracle for support()."""
+        """The paper's subtree-pruned tree walk over the nodes value divides.
+
+        The reference oracle for support(): walk_support(encode(x)) equals
+        support(x) for every itemset x over the prime table.
+        """
         if value < 1:
             raise ValueError(f"transaction values are positive, got {value}")
         total = 0
@@ -391,13 +380,12 @@ class PCTree:
                         f"node {node.value}: cached items {node.items} disagree with the value"
                     )
             for item, count in self.frequency_table.items():
-                prime = self.prime_table.prime_for(item)
-                for oracle in (self.support, self.walk_support):
-                    got = oracle(prime)
+                for oracle, got in (("support", self.support((item,))),
+                                    ("walk_support",
+                                     self.walk_support(self.prime_table.prime_for(item)))):
                     if got != count:
                         problems.append(
-                            f"item {item}: frequency table says {count}, "
-                            f"{oracle.__name__}() says {got}"
+                            f"item {item}: frequency table says {count}, {oracle}() says {got}"
                         )
             if self.transactions is not None and len(self.transactions) != self.transaction_count:
                 problems.append("retained transaction list is out of step with the count")

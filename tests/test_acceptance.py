@@ -195,7 +195,8 @@ def test_criterion_5b_support_spot_checks():
                 probe = tuple(sorted(rng.sample(db.universe, size)))
                 mask = sum(1 << index[i] for i in probe)
                 expected = sum(1 for m in masks if m & mask == mask)
-                assert tree.support(encode(probe, table)) == expected, (spec.name, probe)
+                assert tree.support(probe) == expected, (spec.name, probe)
+                assert tree.walk_support(encode(probe, table)) == expected, (spec.name, probe)
 
 
 def test_criterion_5c_closure_and_antichain(sweep):
@@ -230,8 +231,9 @@ def test_criterion_6_support_monotonicity(sweep):
                 size = rng.randint(1, len(db.universe))
                 p_items = tuple(sorted(rng.sample(db.universe, size)))
                 q_items = tuple(i for i in p_items if rng.random() < 0.6)
-                p = encode(p_items, table)
-                q = encode(q_items, table)
-                assert tree.support(p) <= tree.support(q), (spec.name, p_items, q_items)
+                p, q = tree.support(p_items), tree.support(q_items)
+                assert p <= q, (spec.name, p_items, q_items)
+                assert (p, q) == (tree.walk_support(encode(p_items, table)),
+                                  tree.walk_support(encode(q_items, table)))
                 checked += 1
         assert checked == 1000

@@ -82,7 +82,7 @@ def test_mine_synthetic_source(capsys):
 def test_compare_demo_reports_equal(capsys):
     code, out, _ = run(capsys, "compare", "--input", DEMO, "--min-sup", "4")
     assert code == EXIT_OK
-    assert out.startswith("EQUAL")
+    assert out.startswith("EQUAL")  # no note: demo8 is under both brute-force guards
     assert "pcminer, apriori, brute" in out
 
 
@@ -97,6 +97,16 @@ def test_compare_skips_brute_beyond_the_guard(capsys):
     assert code == EXIT_OK
     assert "brute force skipped" in out
     assert "pcminer, apriori" in out
+
+
+def test_compare_skips_brute_past_the_work_guard(capsys):
+    # 20 items are under the item guard, but 2**20 subsets x 2,000 rows
+    # would keep brute force busy for about two minutes
+    code, out, _ = run(capsys, "compare", "--synthetic", "2000,20,0.3,7", "--min-sup", "0.2")
+    assert code == EXIT_OK
+    assert out.startswith("note: brute force skipped (2**20 subsets x 2000 rows exceed")
+    assert out.splitlines()[-1].startswith("EQUAL")
+    assert "(pcminer, apriori)" in out
 
 
 def test_compare_detects_an_injected_fault(capsys, monkeypatch):

@@ -14,6 +14,8 @@ from pcmine.pc_miner import (
     mine,
 )
 from pcmine.pc_tree import build_tree
+from pcmine.prime_codec import encode
+from tests.test_pc_tree import adversarial_databases, databases
 
 A, B, C, D, E, F = range(6)
 
@@ -161,6 +163,32 @@ def small_databases(draw):
 def test_mine_matches_brute_force_property(db, sigma):
     result = mine(build_tree(db), sigma)
     assert result.frequent == brute_force_mine(db, sigma).frequent
+
+
+def at_most_ten_frequent_items(tree, sigma):
+    """sigma, raised until at most ten items are frequent: at most 1,023 frequent itemsets."""
+    counts = sorted(tree.frequency_table.values(), reverse=True)
+    return max(sigma, counts[10] + 1) if len(counts) > 10 else sigma
+
+
+@given(db=st.one_of(databases(), adversarial_databases()), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_walk_does_not_depend_on_the_support_oracle(db, data):
+    tree = build_tree(db)
+    sigma = at_most_ten_frequent_items(tree, data.draw(st.integers(1, len(db))))
+    indexed = mine(tree, sigma)
+    table, calls = tree.prime_table, []
+
+    def walked_support(items):
+        calls.append(items)
+        return tree.walk_support(encode(items, table))
+
+    tree.support = walked_support  # the paper's tree walk answers every query
+    walked = mine(tree, sigma)
+    assert len(calls) == len(walked.examined) + len(walked.frequent)
+    assert walked.examined == indexed.examined
+    assert walked.frequent == indexed.frequent
+    assert walked.maximal == indexed.maximal
 
 
 # ------------------------------------------------------------ maximal members

@@ -1,7 +1,8 @@
 """Tree tests: derived demo structure, oracle-checked supports, invariant suite.
 
-support() answers from the vertical node index; walk_support(), the paper's
-pruned tree walk, and a scan of the raw transactions are its oracles.
+support() takes an itemset and answers from the vertical node index;
+walk_support(), the paper's pruned tree walk over prime-coded values, and a
+scan of the raw transactions are its oracles.
 """
 
 import random
@@ -51,9 +52,9 @@ def test_demo_item_frequencies(demo_tree):
 
 
 def test_demo_supports(demo_tree):
-    assert demo_tree.support(70) == 5
-    assert demo_tree.support(1) == 8
-    assert demo_tree.support(910) == 2
+    assert demo_tree.support((A, C, D)) == demo_tree.walk_support(70) == 5
+    assert demo_tree.support(()) == demo_tree.walk_support(1) == 8
+    assert demo_tree.support((A, C, D, F)) == demo_tree.walk_support(910) == 2
 
 
 def test_demo_validates_clean(demo_tree):
@@ -123,8 +124,8 @@ def test_insert_rejects_foreign_item():
 
 def test_fresh_tree_supports_nothing():
     tree = PCTree(build_prime_table(range(6)))
-    assert tree.support(70) == 0
-    assert tree.support(1) == 0
+    assert tree.support((A, C, D)) == 0
+    assert tree.support(()) == 0
     assert tree.heads() == ()
     assert tree.validate() == []
 
@@ -133,7 +134,7 @@ def test_single_transaction_tree():
     tree = PCTree(build_prime_table(range(6)), keep_transactions=True)
     tree.insert((A, B))
     assert tree.heads() == (6,)
-    assert tree.support(6) == 1 and tree.support(2) == 1 and tree.support(5) == 0
+    assert tree.support((A, B)) == 1 and tree.support((A,)) == 1 and tree.support((C,)) == 0
     assert tree.transactions == [(A, B)]
 
 
@@ -183,7 +184,7 @@ def test_validate_checks_the_frequency_table_against_both_oracles(demo_tree):
 def test_validate_catches_a_stale_support_index(demo_tree):
     # an index that misses the first node disagrees with the table; the walk does not
     nodes = list(demo_tree._node_by_value.values())
-    demo_tree._index = NodeBitIndex(nodes[1:], demo_tree.prime_table)
+    demo_tree._index = NodeBitIndex(nodes[1:])
     problems = demo_tree.validate()
     assert problems
     assert all(", support() says" in p for p in problems)
@@ -204,28 +205,45 @@ def test_validate_catches_count_drift(demo_tree):
 
 
 def test_insert_after_support_is_seen(demo_tree):
-    assert demo_tree.support(70) == 5  # builds the index
+    assert demo_tree.support((A, C, D)) == 5  # builds the index
     demo_tree.insert((A, C, D))  # bumps the existing node 70
-    assert demo_tree.support(70) == 6
+    assert demo_tree.support((A, C, D)) == 6
     demo_tree.insert((A, B, C, D, E, F))  # a new head
-    assert demo_tree.support(70) == 7
-    assert demo_tree.support(30030) == 1
-    assert demo_tree.support(1) == 10
+    assert demo_tree.support((A, C, D)) == 7
+    assert demo_tree.support((A, B, C, D, E, F)) == 1
+    assert demo_tree.support(()) == 10
     assert demo_tree.validate() == []
 
 
-@pytest.mark.parametrize("value", [17, 70 * 17, 17 * 19, 4, 70 * 5, 2 * 3 * 5 * 7 * 11 * 13 * 13])
-def test_foreign_or_squared_primes_support_nothing(demo_tree, value):
-    assert demo_tree.support(value) == 0
+@pytest.mark.parametrize("value, items", [
+    pytest.param(17, (6,), id="17"),
+    pytest.param(70 * 17, (A, C, D, 6), id="1190"),
+    pytest.param(17 * 19, (6, 7), id="323"),
+    pytest.param(4, (A, A), id="4"),
+    pytest.param(70 * 5, (A, C, C, D), id="350"),
+    pytest.param(2 * 3 * 5 * 7 * 11 * 13 * 13, (A, B, C, D, E, F, F), id="390390"),
+])
+def test_foreign_or_squared_primes_support_nothing(demo_tree, value, items):
+    # A foreign or squared prime divides no node value. At the item level, a
+    # foreign item is in no node and a repeated item is the same as one copy.
     assert demo_tree.walk_support(value) == 0
+    distinct = set(items)
+    if distinct <= set(range(6)):
+        assert demo_tree.support(items) == demo_tree.support(sorted(distinct)) == count_oracle(
+            demo_tree.transactions, distinct)
+    else:
+        assert demo_tree.support(items) == 0
 
 
-@pytest.mark.parametrize("value", [0, -70])
-def test_non_positive_values_are_rejected(demo_tree, value):
-    with pytest.raises(ValueError):
-        demo_tree.support(value)
+@pytest.mark.parametrize("value, items", [
+    pytest.param(0, (-1,), id="0"),
+    pytest.param(-70, (A, C, -70, D), id="-70"),
+])
+def test_non_positive_values_are_rejected(demo_tree, value, items):
     with pytest.raises(ValueError):
         demo_tree.walk_support(value)
+    # no item id is negative, so an itemset holding one is in no transaction
+    assert demo_tree.support(items) == 0
 
 
 def test_deep_chain_builds_and_mines_like_apriori():
@@ -238,7 +256,7 @@ def test_deep_chain_builds_and_mines_like_apriori():
     assert tree.validate(deep=False) == []
     nodes = list(tree._node_by_value.values())  # creation order: node k holds {0..k}
     assert [node.global_count for node in nodes] == [depth - k for k in range(depth)]
-    assert tree.support(1) == tree.walk_support(1) == depth
+    assert tree.support(()) == tree.walk_support(1) == depth
     sigma = depth - 8  # items 0..8 are frequent
     result = mine(tree, sigma)
     assert result.frequent == apriori_mine(db, sigma).frequent
@@ -264,7 +282,8 @@ def test_support_matches_raw_count_exhaustively(spec):
     raw = tree.transactions
     for k in range(1, len(db.universe) + 1):
         for items in combinations(db.universe, k):
-            assert tree.support(encode(items, table)) == count_oracle(raw, items)
+            assert tree.support(items) == tree.walk_support(encode(items, table)) == count_oracle(
+                raw, items)
 
 
 def test_support_matches_raw_count_random_12_items():
@@ -274,7 +293,8 @@ def test_support_matches_raw_count_random_12_items():
     rng = random.Random(99)
     for _ in range(500):
         items = tuple(sorted(rng.sample(db.universe, rng.randint(1, 6))))
-        assert tree.support(encode(items, table)) == count_oracle(tree.transactions, items)
+        assert tree.support(items) == tree.walk_support(encode(items, table)) == count_oracle(
+            tree.transactions, items)
 
 
 def test_invariants_hold_after_every_insertion():
@@ -290,7 +310,7 @@ def test_queries_are_insertion_order_independent(demo_db):
     reference = build_tree(demo_db)
     probes = [c for k in range(1, 7) for c in combinations(range(6), k)]
     table = reference.prime_table
-    expected = {p: reference.support(encode(p, table)) for p in probes}
+    expected = {p: reference.support(p) for p in probes}
     itemsets = demo_db.itemsets()
     for seed in range(6):
         shuffled = itemsets[:]
@@ -298,7 +318,7 @@ def test_queries_are_insertion_order_independent(demo_db):
         tree = build_tree(TransactionDB.from_itemsets(shuffled, universe=demo_db.universe))
         assert tree.validate() == []
         for probe in probes:
-            assert tree.support(encode(probe, table)) == expected[probe]
+            assert tree.support(probe) == tree.walk_support(encode(probe, table)) == expected[probe]
         assert tree.item_frequencies() == reference.item_frequencies()
 
 
@@ -349,8 +369,7 @@ def test_support_index_matches_walk_and_raw_count(db, data):
     table = tree.prime_table
     queries = data.draw(st.lists(st.sets(st.sampled_from(db.universe)), min_size=1, max_size=8))
     for items in queries:
-        value = encode(items, table)
-        assert tree.support(value) == tree.walk_support(value) == count_oracle(
+        assert tree.support(items) == tree.walk_support(encode(items, table)) == count_oracle(
             tree.transactions, items)
 
 
@@ -371,14 +390,14 @@ def test_tree_invariants_property(db):
 @given(db=databases(), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_support_antitone_in_the_itemset(db, data):
-    """Adding items can only shrink support: divides(q, p) implies sup(p) <= sup(q)."""
+    """Adding items can only shrink support: q a subset of p implies sup(p) <= sup(q)."""
     tree = build_tree(db)
     table = tree.prime_table
     p_items = data.draw(st.sets(st.sampled_from(db.universe), min_size=1))
     q_items = data.draw(st.sets(st.sampled_from(sorted(p_items))))
-    p = encode(p_items, table)
-    q = encode(q_items, table)
-    assert tree.support(p) <= tree.support(q)
+    assert tree.support(p_items) <= tree.support(q_items)
+    assert tree.support(p_items) == tree.walk_support(encode(p_items, table))
+    assert tree.support(q_items) == tree.walk_support(encode(q_items, table))
 
 
 # ---------------------------------------------------- reference placement
@@ -477,6 +496,30 @@ def test_wide_prefix_matches_reference_and_apriori(monkeypatch):
     assert tree.validate() == []
     sigma = 210  # 0.105 of the rows, as in the wide workload
     assert mine(tree, sigma).frequent == apriori_mine(db, sigma).frequent
+
+
+def test_one_value_adopts_several_non_adjacent_heads(monkeypatch):
+    # 40 one-item heads. {3, 11, 27, 38} has 2^4 <= 40 subsets, so its
+    # divisors are looked up; the 7-item row that follows is placed by the
+    # scan. Each takes its items' heads out of the middle of the root list.
+    short, long = (3, 11, 27, 38), (0, 5, 9, 14, 20, 33, 39)
+    db = TransactionDB.from_itemsets([(i,) for i in range(40)] + [short, long])
+    placed = []
+    for name in ("_place_by_scan", "_place_by_lookup"):
+        def spied(self, *args, _name=name, _method=getattr(PCTree, name)):
+            placed.append(_name)
+            return _method(self, *args)
+        monkeypatch.setattr(PCTree, name, spied)
+    tree = build_tree(db)
+    assert placed[-2:] == ["_place_by_lookup", "_place_by_scan"]
+    table = tree.prime_table
+    singles = [table.prime_for(i) for i in range(40) if i not in short + long]
+    assert tree.heads() == (*singles, encode(short, table), encode(long, table))
+    for items in (short, long):
+        adopted = tree._node_by_value[encode(items, table)].children
+        assert [c.value for c in adopted] == [table.prime_for(i) for i in items]
+    assert tree_shape(tree) == reference_shape(db)
+    assert tree.validate() == []
 
 
 # ------------------------------------------------------------ counted inserts
