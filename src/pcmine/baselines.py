@@ -16,14 +16,13 @@ from .prime_codec import Itemset, as_itemset
 
 BRUTE_FORCE_MAX_ITEMS = 24
 # Brute force tests every subset against every row, about 60 ns a pair in
-# CPython, so 2**25 subset-rows take about 2 s. `pcmine compare` skips brute
-# force past this much work even under the item cap: 24 items over 40,000
-# rows would take hours.
+# CPython, so 2**25 subset-rows take about 2 s. It refuses more work than this
+# even under the item cap: 24 items over 40,000 rows would take hours.
 BRUTE_FORCE_MAX_WORK = 2**25
 
 
 class UniverseTooLargeError(ValueError):
-    """Exhaustive enumeration refused: the item universe exceeds the guard."""
+    """Exhaustive enumeration refused: the items or the subset-row work exceed a guard."""
 
 
 @dataclass(frozen=True)
@@ -93,18 +92,33 @@ def _mask(items: Iterable[int], index: dict[int, int]) -> int:
     return m
 
 
+def _count(masks: Sequence[int], m: int) -> int:
+    """Rows whose mask holds every bit of m."""
+    return sum(1 for t in masks if t & m == m)
+
+
+def brute_force_refusal(db: TransactionDB) -> str | None:
+    """Why brute_force_mine refuses db, or None when it runs."""
+    n = len(db.universe)
+    if n > BRUTE_FORCE_MAX_ITEMS:
+        return f"{n} items exceed the {BRUTE_FORCE_MAX_ITEMS}-item enumeration guard"
+    if 2**n * len(db) > BRUTE_FORCE_MAX_WORK:
+        return (f"2**{n} subsets x {len(db)} rows exceed "
+                f"the {BRUTE_FORCE_MAX_WORK}-subset-row work guard")
+    return None
+
+
 def brute_force_mine(db: TransactionDB, sigma: int) -> BaselineResult:
     """Count every non-empty subset of the universe against every transaction.
 
-    Exponential in the universe size by construction, hence the hard cap;
-    useful purely as ground truth for the other miners.
+    Exponential in the universe size by construction, hence the hard caps
+    (see brute_force_refusal); useful purely as ground truth for the other
+    miners.
     """
+    refusal = brute_force_refusal(db)
+    if refusal is not None:
+        raise UniverseTooLargeError(f"the exhaustive miner is capped: {refusal}")
     n = len(db.universe)
-    if n > BRUTE_FORCE_MAX_ITEMS:
-        raise UniverseTooLargeError(
-            f"{n} items would enumerate 2**{n} - 1 itemsets; "
-            f"the exhaustive miner is capped at {BRUTE_FORCE_MAX_ITEMS} items"
-        )
     sig = effective_sigma(sigma)
     index = {item: i for i, item in enumerate(db.universe)}
     masks = [_mask(items, index) for _, items in db.transactions]
@@ -113,8 +127,7 @@ def brute_force_mine(db: TransactionDB, sigma: int) -> BaselineResult:
     for size in range(1, n + 1):
         for combo in combinations(db.universe, size):
             candidates += 1
-            m = _mask(combo, index)
-            sup = sum(1 for t in masks if t & m == m)
+            sup = _count(masks, _mask(combo, index))
             if sup >= sig:
                 frequent[combo] = sup
     return BaselineResult(frequent=frequent, candidates_generated=candidates)
@@ -172,8 +185,7 @@ def apriori_mine(db: TransactionDB, sigma: int) -> BaselineResult:
         candidates += len(pruned)
         next_level = []
         for cand in pruned:
-            m = _mask(cand, index)
-            sup = sum(1 for t in masks if t & m == m)
+            sup = _count(masks, _mask(cand, index))
             if sup >= sig:
                 frequent[cand] = sup
                 next_level.append(cand)

@@ -28,6 +28,7 @@ class RunOutcome:
     candidates: int
     mine_ms: float
     build_ms: float | None = None
+    maximal: tuple | None = None  # derived from frequent when the miner does not report it
 
 
 def _run_pcminer(db: TransactionDB, sigma: int) -> RunOutcome:
@@ -37,7 +38,8 @@ def _run_pcminer(db: TransactionDB, sigma: int) -> RunOutcome:
     result = pc_miner.mine(tree, sigma)
     t2 = time.perf_counter()
     return RunOutcome(result.frequent, result.candidates_examined,
-                      mine_ms=(t2 - t1) * 1000.0, build_ms=(t1 - t0) * 1000.0)
+                      mine_ms=(t2 - t1) * 1000.0, build_ms=(t1 - t0) * 1000.0,
+                      maximal=result.maximal)
 
 
 def _run_apriori(db: TransactionDB, sigma: int) -> RunOutcome:
@@ -98,7 +100,9 @@ def cmd_mine(args) -> int:
     name, db = _load_db(args)
     sigma = resolve_sigma(args.min_sup, len(db))
     run = ALGORITHMS[args.algo](db, sigma)
-    maximal = sorted(pc_miner.maximal_frequent(run.frequent))
+    maximal = run.maximal
+    if maximal is None:
+        maximal = sorted(pc_miner.maximal_frequent(run.frequent))
     print(f"dataset: {name} ({len(db)} transactions, {len(db.universe)} items)")
     print(f"algorithm: {args.algo}")
     print(f"min_sup: {sigma}")
@@ -131,13 +135,9 @@ def cmd_compare(args) -> int:
     name, db = _load_db(args)
     sigma = resolve_sigma(args.min_sup, len(db))
     algos = ["pcminer", "apriori"]
-    n_items = len(db.universe)
-    if n_items > baselines.BRUTE_FORCE_MAX_ITEMS:
-        print(f"note: brute force skipped ({n_items} items exceed "
-              f"the {baselines.BRUTE_FORCE_MAX_ITEMS}-item enumeration guard)")
-    elif 2**n_items * len(db) > baselines.BRUTE_FORCE_MAX_WORK:
-        print(f"note: brute force skipped (2**{n_items} subsets x {len(db)} rows exceed "
-              f"the {baselines.BRUTE_FORCE_MAX_WORK}-subset-row work guard)")
+    refusal = baselines.brute_force_refusal(db)
+    if refusal is not None:
+        print(f"note: brute force skipped ({refusal})")
     else:
         algos.append("brute")
     outcomes = {algo: ALGORITHMS[algo](db, sigma) for algo in algos}

@@ -25,9 +25,9 @@ from typing import Iterable
 
 from .baselines import effective_sigma
 from .pc_tree import PCTree
-from .prime_codec import Itemset, decode
-# Not called here; bench/spans.py wraps pc_miner.encode by name in its traced pass.
-from .prime_codec import encode  # noqa: F401
+from .prime_codec import Itemset
+# Not called here; bench/spans.py wraps pc_miner.decode and pc_miner.encode by name.
+from .prime_codec import decode, encode  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ def candidate_head_set(tree: PCTree, sigma: int) -> set[Itemset]:
     sig = effective_sigma(sigma)
     frequencies = tree.frequency_table
     reduced = []
-    for value in tree.heads():
-        head = candidate_head(decode(value, tree.prime_table), frequencies, sig)
+    for node in tree.root.children:
+        head = candidate_head(node.items, frequencies, sig)
         if head:
             reduced.append(head)
     return _maximal_members(reduced)

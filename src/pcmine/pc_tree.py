@@ -9,7 +9,7 @@ A repeated transaction only bumps its node's count, so placement depends only
 on the order in which distinct values first arrive. build_tree() therefore
 tallies the rows in order of first occurrence and inserts each distinct
 itemset once, with its multiplicity as the count: the same tree as one insert
-per row, with one placement search and one count refresh per distinct value.
+per row, with one placement search per distinct value.
 
 A new value goes into the first head's subtree, in creation order, that
 holds a multiple or a divisor of it. The stored divisors of a value with
@@ -30,10 +30,8 @@ over nodes the query value divides, skipping a whole subtree as soon as its
 top value fails the test, since descendant values divide their ancestors'
 and non-divisibility propagates all the way down.
 
-A node's global_count caches the local counts along its own root path. It is
-maintained for every insertion and checked by validate(), but neither query
-uses it: the same query value can divide nodes on several branches, and
-path-local sums cannot see across branches.
+The paper's per-node global count (the local counts summed along the root
+path) is not stored, because neither support() nor walk_support() reads it.
 """
 
 from __future__ import annotations
@@ -51,19 +49,18 @@ from .prime_codec import Itemset, PrimeTable, as_itemset, build_prime_table, enc
 class PCNode:
     """One distinct transaction value and where it sits in the tree."""
 
-    __slots__ = ("value", "items", "local_count", "global_count", "children", "parent", "birth")
+    __slots__ = ("value", "items", "local_count", "children", "parent", "birth")
 
     def __init__(self, value, items, birth, parent=None, local_count=1):
         self.value = value
         self.items = items  # cached factorization of value; must stay in agreement
         self.local_count = local_count
-        self.global_count = 0
         self.children: list[PCNode] = []
         self.parent = parent
         self.birth = birth  # creation index; breaks placement ties deterministically
 
     def __repr__(self):
-        return f"PCNode({self.value}, local={self.local_count}, global={self.global_count})"
+        return f"PCNode({self.value}, local={self.local_count})"
 
 
 class NodeBitIndex:
@@ -122,17 +119,15 @@ class PCTree:
     attribute store, so first queries racing on a fresh tree at worst build
     it twice and always read a complete index. After that, support(),
     walk_support() and the frequency table are plain reads, so concurrent
-    queries are safe. Pass keep_transactions=True to retain the raw itemset
-    multiset for oracle checks in tests; production builds can leave it off.
+    queries are safe.
     """
 
-    def __init__(self, prime_table: PrimeTable, keep_transactions: bool = False):
+    def __init__(self, prime_table: PrimeTable):
         self.prime_table = prime_table
         self.root = PCNode(None, (), birth=0)
         self.root.local_count = 0
         self.frequency_table: dict[int, int] = dict.fromkeys(prime_table.item_ids, 0)
         self.transaction_count = 0
-        self.transactions: list[Itemset] | None = [] if keep_transactions else None
         self._node_by_value: dict[int, PCNode] = {}
         self._births = 0
         self._index: NodeBitIndex | None = None
@@ -146,10 +141,9 @@ class PCTree:
         """Ingest count copies of one transaction (count >= 1).
 
         The copies count everywhere a single insert would count once: in the
-        node's local count, the frequency table, transaction_count and the
-        retained transactions. Inserting a value once with count n gives the
-        same tree as n single inserts in a row, since only the first of those
-        places a node.
+        node's local count, the frequency table and transaction_count.
+        Inserting a value once with count n gives the same tree as n single
+        inserts in a row, since only the first of those places a node.
 
         A value already present anywhere in the tree only bumps that node's
         local count (values are unique tree-wide). Otherwise the value lands
@@ -178,14 +172,11 @@ class PCTree:
         for item in x:
             self.frequency_table[item] += count
         self.transaction_count += count
-        if self.transactions is not None:
-            self.transactions.extend([x] * count)
         self._index = None
 
         node = self._node_by_value.get(value)
         if node is not None:
             node.local_count += count
-            self._refresh_global(node)
             return
 
         # 2^|x| <= heads, without building 2^|x| for a long transaction
@@ -202,7 +193,6 @@ class PCTree:
         node.children = moved
         siblings.append(node)
         self._node_by_value[value] = node
-        self._refresh_global(node)
 
     def _place_by_lookup(self, x: Itemset, value: int) -> tuple[PCNode, list[PCNode]]:
         """Parent and adopted children for a new value, found from its stored divisors."""
@@ -276,16 +266,6 @@ class PCTree:
                     stack.append((child, depth + 1))
         return best
 
-    def _refresh_global(self, node: PCNode) -> None:
-        # global_count = own local count + parent's global count, root = 0.
-        # Iterative, parents before children: chains can be thousands deep.
-        stack = [node]
-        while stack:
-            node = stack.pop()
-            base = 0 if node.parent is self.root else node.parent.global_count
-            node.global_count = node.local_count + base
-            stack.extend(node.children)
-
     def heads(self) -> tuple[int, ...]:
         """Values of the root's children, in creation order."""
         return tuple(child.value for child in self.root.children)
@@ -321,18 +301,14 @@ class PCTree:
             # otherwise no descendant can be a multiple either: skip the branch
         return total
 
-    def item_frequencies(self) -> dict[int, int]:
-        """Copy of the per-item transaction counts maintained during insertion."""
-        return dict(self.frequency_table)
-
     def validate(self, deep: bool = True) -> list[str]:
         """Check tree invariants; returns one message per violation, empty when sound.
 
-        The structural checks (counts, global recurrence, divisibility
-        chains, children in ascending birth order, tree-wide value
-        uniqueness) are linear in the tree. deep=True additionally
-        cross-checks every node's cached factor set, and the item frequency
-        table against both support() and walk_support().
+        The structural checks (counts, divisibility chains, children in
+        ascending birth order, tree-wide value uniqueness) are linear in the
+        tree. deep=True additionally cross-checks every node's cached factor
+        set, and the item frequency table against both support() and
+        walk_support().
         """
         problems = []
         seen: dict[int, PCNode] = {}
@@ -354,12 +330,6 @@ class PCTree:
                 problems.append(f"node {node.value}: local_count {node.local_count} < 1")
             local_sum += node.local_count
             parent = node.parent
-            parent_global = 0 if parent is self.root else parent.global_count
-            if node.global_count != node.local_count + parent_global:
-                problems.append(
-                    f"node {node.value}: global_count {node.global_count} breaks the "
-                    f"recurrence (local {node.local_count} + parent {parent_global})"
-                )
             if parent is not self.root:
                 if parent.value % node.value != 0:
                     problems.append(f"node {node.value} does not divide its parent {parent.value}")
@@ -387,12 +357,10 @@ class PCTree:
                         problems.append(
                             f"item {item}: frequency table says {count}, {oracle}() says {got}"
                         )
-            if self.transactions is not None and len(self.transactions) != self.transaction_count:
-                problems.append("retained transaction list is out of step with the count")
         return problems
 
 
-def build_tree(db: TransactionDB, keep_transactions: bool = False) -> PCTree:
+def build_tree(db: TransactionDB) -> PCTree:
     """One-pass tree construction over a whole database.
 
     The rows are tallied first, in order of first occurrence, and each
@@ -400,7 +368,7 @@ def build_tree(db: TransactionDB, keep_transactions: bool = False) -> PCTree:
     depends only on the order in which distinct values first arrive, and a
     repeat only bumps a count, so the tree is the same as one insert per row.
     """
-    tree = PCTree(build_prime_table(db.universe), keep_transactions=keep_transactions)
+    tree = PCTree(build_prime_table(db.universe))
     tally = Counter(items for _tid, items in db.transactions)  # first-occurrence order
     for items, count in tally.items():
         tree.insert(items, count)

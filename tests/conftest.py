@@ -17,4 +17,4 @@ def demo_db():
 
 @pytest.fixture()
 def demo_tree(demo_db):
-    return build_tree(demo_db, keep_transactions=True)
+    return build_tree(demo_db)

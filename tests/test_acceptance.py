@@ -171,7 +171,7 @@ def test_criterion_5a_invariants_over_a_soak():
         total = 0
         for spec in SOAK_SPECS:
             db = generate_synthetic(spec)
-            tree = PCTree(build_prime_table(db.universe), keep_transactions=True)
+            tree = PCTree(build_prime_table(db.universe))
             for _, items in db.transactions:
                 tree.insert(items)
                 total += 1
@@ -185,10 +185,10 @@ def test_criterion_5b_support_spot_checks():
     with criterion(5, "b: tree supports match raw counting, 1,000 probes per soak db"):
         for spec in SOAK_SPECS:
             db = generate_synthetic(spec)
-            tree = build_tree(db, keep_transactions=True)
+            tree = build_tree(db)
             table = tree.prime_table
             index = {item: i for i, item in enumerate(db.universe)}
-            masks = [sum(1 << index[i] for i in items) for items in tree.transactions]
+            masks = [sum(1 << index[i] for i in items) for items in db.itemsets()]
             rng = random.Random(spec.seed * 31)
             for _ in range(1000):
                 size = rng.randint(1, min(6, len(db.universe)))

@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 
 from pcmine.baselines import (
     BRUTE_FORCE_MAX_ITEMS,
+    BRUTE_FORCE_MAX_WORK,
     TransactionDB,
     UniverseTooLargeError,
     _join_level,
     _prune_level,
     apriori_mine,
     brute_force_mine,
+    brute_force_refusal,
 )
 from pcmine.dataset_io import SyntheticSpec, generate_synthetic
 
@@ -60,6 +62,17 @@ def test_brute_force_guard():
     with pytest.raises(UniverseTooLargeError) as err:
         brute_force_mine(db, 1)
     assert str(BRUTE_FORCE_MAX_ITEMS) in str(err.value)
+
+
+def test_brute_force_work_guard():
+    # 2**20 subsets x 32 rows is exactly the budget; one more row is refused
+    rows = [tuple(range(20))] * (BRUTE_FORCE_MAX_WORK // 2**20)
+    assert brute_force_refusal(TransactionDB.from_itemsets(rows)) is None
+    over = TransactionDB.from_itemsets(rows + [(0,)])
+    assert "work guard" in brute_force_refusal(over)
+    with pytest.raises(UniverseTooLargeError) as err:
+        brute_force_mine(over, 1)
+    assert str(BRUTE_FORCE_MAX_WORK) in str(err.value)
 
 
 def test_apriori_demo_candidate_count(demo_db):

@@ -213,6 +213,15 @@ def test_brute_refusal_exits_one(capsys):
     assert "capped" in err
 
 
+def test_mine_brute_refuses_past_the_work_guard(capsys):
+    # 20 items are under the item guard; 2**20 subsets x 2,000 rows would run for minutes
+    code, out, err = run(capsys, "mine", "--synthetic", "2000,20,0.3,1",
+                         "--algo", "brute", "--min-sup", "0.2")
+    assert code == EXIT_MISMATCH
+    assert out == ""
+    assert "2**20 subsets x 2000 rows exceed" in err
+
+
 def test_bad_synthetic_spec_exits_two(capsys):
     code, _, err = run(capsys, "mine", "--synthetic", "10,5", "--min-sup", "1")
     assert code == EXIT_USAGE

@@ -1,5 +1,7 @@
 """Miner tests: the frozen worked example, edge thresholds, lattice properties."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -189,6 +191,17 @@ def test_walk_does_not_depend_on_the_support_oracle(db, data):
     assert walked.examined == indexed.examined
     assert walked.frequent == indexed.frequent
     assert walked.maximal == indexed.maximal
+
+
+@given(db=st.one_of(databases(), adversarial_databases()), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_candidate_head_set_is_the_maximal_reduced_transactions(db, data):
+    """The heads cover the database, so reducing the rows instead gives the same antichain."""
+    sigma = data.draw(st.integers(1, len(db) + 1))
+    frequencies = Counter(item for items in db.itemsets() for item in items)
+    reduced = {candidate_head(items, frequencies, sigma) for items in db.itemsets()}
+    expected = pairwise_maximal_members(reduced - {()})
+    assert candidate_head_set(build_tree(db), sigma) == expected
 
 
 # ------------------------------------------------------------ maximal members

@@ -41,14 +41,8 @@ def test_demo_tree_shape(demo_tree):
     assert n455.parent.parent.value == 2730
 
 
-def test_demo_global_counts(demo_tree):
-    by_value = demo_tree._node_by_value
-    expected = {2310: 1, 66: 2, 770: 2, 70: 3, 2730: 1, 910: 2, 455: 4}
-    assert {v: n.global_count for v, n in by_value.items()} == expected
-
-
 def test_demo_item_frequencies(demo_tree):
-    assert demo_tree.item_frequencies() == {A: 6, B: 3, C: 7, D: 7, E: 3, F: 4}
+    assert demo_tree.frequency_table == {A: 6, B: 3, C: 7, D: 7, E: 3, F: 4}
 
 
 def test_demo_supports(demo_tree):
@@ -81,7 +75,6 @@ def test_head_replacement():
     assert tree.heads() == (2310,)
     n66 = tree._node_by_value[66]
     assert n66.parent.value == 2310
-    assert n66.global_count == 2
     assert tree.validate() == []
 
 
@@ -92,25 +85,25 @@ def test_insert_rejects_empty_itemset():
 
 
 def test_counted_insert_counts_every_copy():
-    tree = PCTree(build_prime_table(range(6)), keep_transactions=True)
+    tree = PCTree(build_prime_table(range(6)))
     tree.insert((C, D, F), count=3)
     tree.insert((A, C, D, F), count=2)
     tree.insert((C, D, F), count=4)
-    assert tree._node_by_value[455].local_count == 7
-    assert tree._node_by_value[455].global_count == 9
+    n455, n910 = tree._node_by_value[455], tree._node_by_value[910]
+    assert (n455.local_count, n910.local_count) == (7, 2)
+    assert n455.parent is n910
     assert tree.transaction_count == 9
     assert tree.frequency_table == {A: 2, B: 0, C: 9, D: 9, E: 0, F: 9}
-    assert sorted(tree.transactions) == [(A, C, D, F)] * 2 + [(C, D, F)] * 7
     assert tree.validate() == []
 
 
 @pytest.mark.parametrize("items", [(C, D, F), (A, B)])
 @pytest.mark.parametrize("count", [0, -1])
 def test_insert_rejects_a_count_below_one_before_changing_anything(demo_tree, items, count):
-    before = full_shape(demo_tree), list(demo_tree.transactions)
+    before = full_shape(demo_tree)
     with pytest.raises(ValueError):
         demo_tree.insert(items, count)
-    assert (full_shape(demo_tree), list(demo_tree.transactions)) == before
+    assert full_shape(demo_tree) == before
     assert demo_tree.validate() == []
 
 
@@ -131,20 +124,13 @@ def test_fresh_tree_supports_nothing():
 
 
 def test_single_transaction_tree():
-    tree = PCTree(build_prime_table(range(6)), keep_transactions=True)
+    tree = PCTree(build_prime_table(range(6)))
     tree.insert((A, B))
     assert tree.heads() == (6,)
     assert tree.support((A, B)) == 1 and tree.support((A,)) == 1 and tree.support((C,)) == 0
-    assert tree.transactions == [(A, B)]
 
 
 # ---------------------------------------------------------------- validate
-
-
-def test_validate_catches_corrupt_global_count(demo_tree):
-    demo_tree._node_by_value[66].global_count = 99
-    problems = demo_tree.validate()
-    assert any("recurrence" in p for p in problems)
 
 
 def test_validate_catches_corrupt_local_count(demo_tree):
@@ -156,7 +142,6 @@ def test_validate_catches_corrupt_local_count(demo_tree):
 def test_validate_catches_duplicate_value(demo_tree):
     head = demo_tree.root.children[0]
     clone = PCNode(455, (C, D, F), birth=99, parent=head)
-    clone.global_count = clone.local_count + head.global_count
     head.children.append(clone)
     problems = demo_tree.validate()
     assert any("two nodes" in p for p in problems)
@@ -223,14 +208,14 @@ def test_insert_after_support_is_seen(demo_tree):
     pytest.param(70 * 5, (A, C, C, D), id="350"),
     pytest.param(2 * 3 * 5 * 7 * 11 * 13 * 13, (A, B, C, D, E, F, F), id="390390"),
 ])
-def test_foreign_or_squared_primes_support_nothing(demo_tree, value, items):
+def test_foreign_or_squared_primes_support_nothing(demo_db, demo_tree, value, items):
     # A foreign or squared prime divides no node value. At the item level, a
     # foreign item is in no node and a repeated item is the same as one copy.
     assert demo_tree.walk_support(value) == 0
     distinct = set(items)
     if distinct <= set(range(6)):
         assert demo_tree.support(items) == demo_tree.support(sorted(distinct)) == count_oracle(
-            demo_tree.transactions, distinct)
+            demo_db.itemsets(), distinct)
     else:
         assert demo_tree.support(items) == 0
 
@@ -248,14 +233,14 @@ def test_non_positive_values_are_rejected(demo_tree, value, items):
 
 def test_deep_chain_builds_and_mines_like_apriori():
     # {0}, {0, 1}, ..., {0..1199}: every insert adopts the previous head, so the
-    # tree is one chain 1,200 levels deep (the count refresh used to recurse per level)
+    # tree is one chain 1,200 levels deep
     depth = 1200
     db = TransactionDB.from_itemsets([range(k + 1) for k in range(depth)])
     tree = build_tree(db)
     assert tree.heads() == (encode(range(depth), tree.prime_table),)
     assert tree.validate(deep=False) == []
     nodes = list(tree._node_by_value.values())  # creation order: node k holds {0..k}
-    assert [node.global_count for node in nodes] == [depth - k for k in range(depth)]
+    assert all(nodes[k].parent is nodes[k + 1] for k in range(depth - 1))
     assert tree.support(()) == tree.walk_support(1) == depth
     sigma = depth - 8  # items 0..8 are frequent
     result = mine(tree, sigma)
@@ -277,9 +262,9 @@ SMALL_SPECS = [
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: s.name)
 def test_support_matches_raw_count_exhaustively(spec):
     db = generate_synthetic(spec)
-    tree = build_tree(db, keep_transactions=True)
+    tree = build_tree(db)
     table = tree.prime_table
-    raw = tree.transactions
+    raw = db.itemsets()
     for k in range(1, len(db.universe) + 1):
         for items in combinations(db.universe, k):
             assert tree.support(items) == tree.walk_support(encode(items, table)) == count_oracle(
@@ -288,18 +273,19 @@ def test_support_matches_raw_count_exhaustively(spec):
 
 def test_support_matches_raw_count_random_12_items():
     db = generate_synthetic(SyntheticSpec(64, 12, 0.4, seed=15))
-    tree = build_tree(db, keep_transactions=True)
+    tree = build_tree(db)
     table = tree.prime_table
+    raw = db.itemsets()
     rng = random.Random(99)
     for _ in range(500):
         items = tuple(sorted(rng.sample(db.universe, rng.randint(1, 6))))
         assert tree.support(items) == tree.walk_support(encode(items, table)) == count_oracle(
-            tree.transactions, items)
+            raw, items)
 
 
 def test_invariants_hold_after_every_insertion():
     db = generate_synthetic(SyntheticSpec(100, 9, 0.35, seed=16))
-    tree = PCTree(build_prime_table(db.universe), keep_transactions=True)
+    tree = PCTree(build_prime_table(db.universe))
     for _, items in db.transactions:
         tree.insert(items)
         assert tree.validate(deep=False) == []
@@ -319,7 +305,7 @@ def test_queries_are_insertion_order_independent(demo_db):
         assert tree.validate() == []
         for probe in probes:
             assert tree.support(probe) == tree.walk_support(encode(probe, table)) == expected[probe]
-        assert tree.item_frequencies() == reference.item_frequencies()
+        assert tree.frequency_table == reference.frequency_table
 
 
 # ------------------------------------------------------------- properties
@@ -364,25 +350,25 @@ def adversarial_databases(draw):
 @given(db=st.one_of(databases(), adversarial_databases()), data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_support_index_matches_walk_and_raw_count(db, data):
-    tree = build_tree(db, keep_transactions=True)
+    tree = build_tree(db)
     assert tree.validate() == []
     table = tree.prime_table
     queries = data.draw(st.lists(st.sets(st.sampled_from(db.universe)), min_size=1, max_size=8))
     for items in queries:
         assert tree.support(items) == tree.walk_support(encode(items, table)) == count_oracle(
-            tree.transactions, items)
+            db.itemsets(), items)
 
 
 @given(db=databases())
 @settings(max_examples=60, deadline=None)
 def test_tree_invariants_property(db):
-    tree = build_tree(db, keep_transactions=True)
+    tree = build_tree(db)
     assert tree.validate() == []
     assert tree.transaction_count == len(db)
     # every transaction's value divides some head: heads cover the database
     table = tree.prime_table
     heads = tree.heads()
-    for items in tree.transactions:
+    for items in db.itemsets():
         v = encode(items, table)
         assert any(h % v == 0 for h in heads)
 
@@ -449,17 +435,14 @@ def reference_shape(db):
         for child in node.children:
             child.parent = node
 
-    def path_count(node):
-        return 0 if node is root else node.local_count + path_count(node.parent)
-
     return tuple(h.value for h in root.children), {
-        v: (n.parent.value, [c.value for c in n.children], n.local_count, path_count(n))
+        v: (n.parent.value, [c.value for c in n.children], n.local_count)
         for v, n in nodes.items()}
 
 
 def tree_shape(tree):
     return tree.heads(), {
-        v: (n.parent.value, [c.value for c in n.children], n.local_count, n.global_count)
+        v: (n.parent.value, [c.value for c in n.children], n.local_count)
         for v, n in tree._node_by_value.items()}
 
 
@@ -527,15 +510,14 @@ def test_one_value_adopts_several_non_adjacent_heads(monkeypatch):
 
 def full_shape(tree):
     """Everything insertion order can change: node placement, counts, births, tables."""
-    nodes = {v: (n.parent.value, [c.value for c in n.children], n.local_count,
-                 n.global_count, n.birth)
+    nodes = {v: (n.parent.value, [c.value for c in n.children], n.local_count, n.birth)
              for v, n in tree._node_by_value.items()}
-    return tree.heads(), nodes, tree.item_frequencies(), tree.transaction_count
+    return tree.heads(), nodes, dict(tree.frequency_table), tree.transaction_count
 
 
 def row_by_row(db):
-    """The tree one plain insert per row gives, with the transactions kept."""
-    tree = PCTree(build_prime_table(db.universe), keep_transactions=True)
+    """The tree one plain insert per row gives."""
+    tree = PCTree(build_prime_table(db.universe))
     for _, items in db.transactions:
         tree.insert(items)
     return tree
@@ -544,7 +526,6 @@ def row_by_row(db):
 def assert_same_as_row_by_row(db, tree):
     reference = row_by_row(db)
     assert full_shape(tree) == full_shape(reference)
-    assert sorted(tree.transactions) == sorted(reference.transactions)
     assert tree.validate() == []
 
 
@@ -561,7 +542,7 @@ def duplicate_heavy_databases(draw):
 @given(db=duplicate_heavy_databases())
 @settings(max_examples=100, deadline=None)
 def test_tallied_build_matches_one_insert_per_row(db):
-    assert_same_as_row_by_row(db, build_tree(db, keep_transactions=True))
+    assert_same_as_row_by_row(db, build_tree(db))
 
 
 def test_dense_prefix_inserts_once_per_distinct_itemset(monkeypatch):
@@ -575,7 +556,7 @@ def test_dense_prefix_inserts_once_per_distinct_itemset(monkeypatch):
         return _insert(self, items, count)
 
     monkeypatch.setattr(PCTree, "insert", counted)
-    tree = build_tree(db, keep_transactions=True)
+    tree = build_tree(db)
     monkeypatch.undo()
     distinct = set(db.itemsets())
     assert len(calls) == len(distinct) == tree.node_count < len(db)
