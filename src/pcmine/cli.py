@@ -164,6 +164,8 @@ def cmd_bench(args) -> int:
     if not sigmas:
         raise ValueError("--sigmas wants a comma-separated list of thresholds")
     algos = [a for a in args.algo.split(",") if a]
+    if not algos:
+        raise ValueError("--algo wants a comma-separated list of algorithms")
     for algo in algos:
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")

@@ -12,19 +12,20 @@ itemset once, with its multiplicity as the count: the same tree as one insert
 per row, with one placement search per distinct value.
 
 A new value goes into the first head's subtree, in creation order, that
-holds a multiple or a divisor of it. The stored divisors of a value with
-itemset x are exactly the products of x's subsets that are stored values, so
-while 2^|x| is at most the number of heads, insert() looks them up and walks
-them up to their heads instead of searching the heads' subtrees.
-Long transactions, where 2^|x| is astronomical, and trees with few heads keep
-the scan over the heads. Both searches need every children list in ascending
-birth (creation) order, and validate() checks it.
+holds a multiple or a divisor of it. The tree keeps a vertical index over its
+nodes, in the manner of MAFIA's vertical bitmaps (Burdick et al., ICDE
+2001): one bit row per item, with bit b set when the node born b holds the
+item, and one bit mask of the heads. insert() keeps them current and finds
+the subtree from them, for a transaction of any length: the heads that are
+multiples of itemset x are the heads holding all of x's items, and the
+stored divisors of x are the nodes holding no item outside x. The search
+needs every children list in ascending birth (creation) order, and
+validate() checks that, the rows and the head mask.
 
-support() takes an itemset and answers from a vertical index over the
-tree's distinct nodes: one bit row per item (bit i set when node i holds
-that item) and the nodes' local counts split into binary weight planes, so a
-query is an AND of its items' rows followed by one popcount per plane, with
-no prime arithmetic. The paper's own query, walk_support(), takes a
+support() takes an itemset and answers from the same rows: an AND of its
+items' rows selects the nodes that hold them all, and the nodes' local
+counts, split into binary weight planes, add up with one popcount per plane,
+with no prime arithmetic. The paper's own query, walk_support(), takes a
 prime-coded value and stays as the reference oracle: it sums local counts
 over nodes the query value divides, skipping a whole subtree as soon as its
 top value fails the test, since descendant values divide their ancestors'
@@ -38,9 +39,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from math import gcd
-from operator import attrgetter
-from typing import Collection, Iterable
+from functools import reduce
+from itertools import repeat
+from operator import and_, attrgetter, or_
+from typing import Iterable, Iterator
 
 from .baselines import TransactionDB
 from .prime_codec import Itemset, PrimeTable, as_itemset, build_prime_table, encode
@@ -63,63 +65,41 @@ class PCNode:
         return f"PCNode({self.value}, local={self.local_count})"
 
 
-class NodeBitIndex:
-    """Vertical bitset index over a tree's distinct nodes, for support counts.
+def _bit_positions(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a non-negative mask, ascending."""
+    bits = bin(mask)  # str.rfind beats a loop over every bit position
+    top = len(bits) - 1  # the index of bit 0
+    i = bits.rfind("1", 2)
+    while i >= 2:
+        yield top - i
+        i = bits.rfind("1", 2, i)
 
-    Node i (in the order given) is bit i. Each item has a row with bit i set
-    when node i holds it, and the nodes' local counts are split into binary
-    weight planes: bit i of plane j is bit j of node i's count. The support
-    of an itemset is then sum_j popcount(AND of its rows & plane_j) << j.
-    Items no node holds get no row. Immutable once built.
+
+def _mask(positions: Iterable[int]) -> int:
+    """The int with exactly the given bits set, built in time linear in its size.
+
+    OR-ing bits into a big int one at a time would copy it each time.
     """
-
-    __slots__ = ("_rows", "_planes")
-
-    def __init__(self, nodes: Collection[PCNode]):
-        # Rows fill as bytearrays and convert to ints once, which keeps the
-        # build linear in the total size of the nodes; OR-ing bits into big
-        # ints one at a time would be quadratic.
-        rows: dict[int, bytearray] = {}
-        planes: list[bytearray] = []
-        width = (len(nodes) + 7) // 8
-        for i, node in enumerate(nodes):
-            byte, bit = i >> 3, 1 << (i & 7)
-            for item in node.items:
-                row = rows.get(item)
-                if row is None:
-                    row = rows[item] = bytearray(width)
-                row[byte] |= bit
-            count = node.local_count
-            while len(planes) < count.bit_length():
-                planes.append(bytearray(width))
-            for j in range(count.bit_length()):
-                if count >> j & 1:
-                    planes[j][byte] |= bit
-        self._rows = {item: int.from_bytes(row, "little") for item, row in rows.items()}
-        self._planes = tuple(int.from_bytes(plane, "little") for plane in planes)
-
-    def count(self, items: Iterable[int]) -> int:
-        """Summed local counts of the nodes that hold every one of items."""
-        rows = self._rows
-        hit = -1  # every node; an item no node holds clears it
-        for item in items:
-            hit &= rows.get(item, 0)
-        total = 0
-        for j, plane in enumerate(self._planes):
-            total += (hit & plane).bit_count() << j
-        return total
+    buffer = bytearray()
+    for position in positions:
+        byte = position >> 3
+        if byte >= len(buffer):
+            buffer.extend(bytes(byte + 1 - len(buffer)))
+        buffer[byte] |= 1 << (position & 7)
+    return int.from_bytes(buffer, "little")
 
 
 class PCTree:
     """Prime-coded transaction tree built in one pass over a database.
 
     The tree is meant to be fully built before it is queried; insert() must
-    not run alongside anything else. The first support() after an insert()
-    builds the vertical index into a local and publishes it with one
-    attribute store, so first queries racing on a fresh tree at worst build
-    it twice and always read a complete index. After that, support(),
-    walk_support() and the frequency table are plain reads, so concurrent
-    queries are safe.
+    not run alongside anything else. The item rows and head bits are kept up
+    to date by insert() itself; only the count weight planes are built
+    lazily, by the first support() after an insert(), into a local that is
+    published with one attribute store, so first queries racing on a fresh
+    tree at worst build them twice and always read complete planes. After
+    that, support(), walk_support() and the frequency table are plain reads,
+    so concurrent queries are safe.
     """
 
     def __init__(self, prime_table: PrimeTable):
@@ -129,8 +109,10 @@ class PCTree:
         self.frequency_table: dict[int, int] = dict.fromkeys(prime_table.item_ids, 0)
         self.transaction_count = 0
         self._node_by_value: dict[int, PCNode] = {}
-        self._births = 0
-        self._index: NodeBitIndex | None = None
+        self._nodes = [self.root]  # by birth
+        self._rows: dict[int, int] = {}  # item -> bit b set when the node born b holds it
+        self._head_bits = 0  # bit b set when the node born b is a root child
+        self._planes: tuple[int, ...] | None = None  # count weight planes, by birth
 
     @property
     def node_count(self) -> int:
@@ -154,14 +136,15 @@ class PCTree:
         new parent that divide it (this is how a new superset replaces a
         head).
 
-        Two searches give that same placement. When 2^|x| is at most the
-        number of heads, the divisors are looked up: they are the products
-        of x's subsets that are stored, walking them up gives the earliest
-        head holding one, and only the heads up to that one are tested for
-        a multiple. Otherwise, for long transactions and trees with few
-        heads, the heads' subtrees are scanned in order. Both rely on every
-        children list being in ascending birth order, which appending new
-        nodes and deleting adopted ones in place preserves.
+        One search over the item rows finds that subtree. The heads that
+        are multiples of the value are the heads holding all of x's items,
+        and its stored divisors are the nodes holding no item outside x.
+        Only when the earliest multiple is a head other than the first are
+        divisors walked up to their heads, until one is older than it. A
+        new head adopts the heads among the divisors; any other parent's
+        children are tested one by one. Children lists stay in ascending
+        birth order, since new nodes are appended and adopted ones deleted
+        in place.
         """
         if count < 1:
             raise ValueError(f"a transaction is inserted at least once, got count {count}")
@@ -172,20 +155,16 @@ class PCTree:
         for item in x:
             self.frequency_table[item] += count
         self.transaction_count += count
-        self._index = None
+        self._planes = None
 
         node = self._node_by_value.get(value)
         if node is not None:
             node.local_count += count
             return
 
-        # 2^|x| <= heads, without building 2^|x| for a long transaction
-        if len(x) < len(self.root.children).bit_length():
-            parent, moved = self._place_by_lookup(x, value)
-        else:
-            parent, moved = self._place_by_scan(value)
-        self._births += 1
-        node = PCNode(value, x, birth=self._births, parent=parent, local_count=count)
+        parent, moved = self._place(x, value)
+        birth = len(self._nodes)
+        node = PCNode(value, x, birth=birth, parent=parent, local_count=count)
         siblings = parent.children
         for child in moved:  # ascending birth, like siblings
             child.parent = node
@@ -193,65 +172,50 @@ class PCTree:
         node.children = moved
         siblings.append(node)
         self._node_by_value[value] = node
-
-    def _place_by_lookup(self, x: Itemset, value: int) -> tuple[PCNode, list[PCNode]]:
-        """Parent and adopted children for a new value, found from its stored divisors."""
-        # A stored value divides value iff it is the product of a subset of x.
-        products = [1]
+        self._nodes.append(node)
+        bit = 1 << birth
+        rows = self._rows
         for item in x:
-            prime = self.prime_table.prime_for(item)
-            products += [p * prime for p in products]
-        by_value = self._node_by_value
-        divisors = [by_value[p] for p in products if p in by_value]
-        root = self.root
-        first = None  # earliest-born head with a divisor in its subtree
-        seen = set()
-        for node in divisors:
-            while node not in seen:
-                seen.add(node)
-                if node.parent is root:
-                    if first is None or node.birth < first.birth:
-                        first = node
-                    break
-                node = node.parent
-        parent = root
-        for head in root.children:
-            if head.value % value == 0:
-                parent = self._deepest_multiple(head, value)
-                break
-            if head is first:
-                break
-        moved = [node for node in divisors if node.parent is parent]
-        moved.sort(key=attrgetter("birth"))
-        return parent, moved
+            rows[item] = rows.get(item, 0) | bit
+        if parent is self.root:
+            heads = self._head_bits | bit
+            for child in moved:
+                heads ^= 1 << child.birth
+            self._head_bits = heads
 
-    def _place_by_scan(self, value: int) -> tuple[PCNode, list[PCNode]]:
-        """Parent and adopted children for a new value, found by scanning the heads."""
-        head = self._accepting_head(value)
-        if head is None:
-            return self.root, []  # a root child dividing value would have been comparable
-        parent = self._deepest_multiple(head, value) if head.value % value == 0 else self.root
+    def _place(self, x: Itemset, value: int) -> tuple[PCNode, list[PCNode]]:
+        """Parent and adopted children (ascending birth) for a new value.
+
+        The earliest head that is a multiple takes the value unless an older
+        head holds a divisor; with no such multiple, the value is a new head.
+        """
+        root, rows, heads, nodes = self.root, self._rows, self._head_bits, self._nodes
+        multiples = reduce(and_, map(rows.get, x, repeat(0)), heads)
+        earliest = (multiples & -multiples).bit_length() - 1  # -1 when there is none
+        if earliest < 0 or nodes[earliest] is not root.children[0]:
+            outside = reduce(or_, map(rows.__getitem__, rows.keys() - set(x)), 0)
+            divisors = ((1 << len(nodes)) - 2) & ~outside  # bit 0 is the root
+            if earliest < 0 or self._divisor_under_older_head(divisors, value, earliest):
+                return root, [nodes[b] for b in _bit_positions(divisors & heads)]
+        parent = self._deepest_multiple(nodes[earliest], value)
         return parent, [c for c in parent.children if value % c.value == 0]
 
-    def _accepting_head(self, value: int) -> PCNode | None:
-        """First root child (creation order) whose subtree is comparable with value.
+    def _divisor_under_older_head(self, divisors: int, value: int, birth: int) -> bool:
+        """Whether a divisor of value sits in the subtree of a head born before birth.
 
-        A subtree holds a multiple of value iff its head is one, since every
-        node's ancestors are multiples of it. Divisors of value can hide at
-        any depth, but a branch whose top shares no factor with value cannot
-        contain one (everything below divides that top), so it is skipped.
+        Every child of a divisor is a divisor, so only the divisors whose
+        parent is not one are walked up to their heads, sharing the walks.
         """
-        for head in self.root.children:
-            if head.value % value == 0:
-                return head
-            stack = [head]
-            while stack:
-                node = stack.pop()
-                if value % node.value == 0:
-                    return head
-                if gcd(node.value, value) > 1:
-                    stack.extend(node.children)
-        return None
+        root, seen = self.root, set()
+        for node in map(self._nodes.__getitem__, _bit_positions(divisors)):
+            if node.parent is not root and value % node.parent.value == 0:
+                continue
+            while node.parent is not root and node not in seen:
+                seen.add(node)
+                node = node.parent
+            if node.parent is root and node.birth < birth:
+                return True
+        return False
 
     def _deepest_multiple(self, head: PCNode, value: int) -> PCNode:
         """Deepest node under head whose value is a multiple; oldest wins ties."""
@@ -273,15 +237,28 @@ class PCTree:
     def support(self, items: Iterable[int]) -> int:
         """Number of ingested transactions that contain every one of items.
 
-        Answered from the vertical index over the distinct nodes, built on the
-        first query after an insert. An item that no node holds gives 0, a
-        repeated item counts once, and the empty itemset gives
-        transaction_count.
+        An AND of the items' rows selects the nodes holding all of them, and
+        the nodes' local counts, split into binary weight planes (bit b of
+        plane j is bit j of the count of the node born b), are summed as one
+        popcount per plane. The planes are built on the first query after an
+        insert. An item that no node holds gives 0, a repeated item counts
+        once, and the empty itemset gives transaction_count.
         """
-        index = self._index
-        if index is None:
-            index = self._index = NodeBitIndex(self._node_by_value.values())
-        return index.count(items)
+        planes = self._planes
+        if planes is None:
+            nodes = self._nodes
+            depth = max(node.local_count for node in nodes).bit_length()
+            planes = self._planes = tuple(
+                _mask(b for b, node in enumerate(nodes) if node.local_count >> j & 1)
+                for j in range(depth))
+        rows = self._rows
+        hit = -1  # every node; an item no node holds clears it
+        for item in items:
+            hit &= rows.get(item, 0)
+        total = 0
+        for j, plane in enumerate(planes):
+            total += (hit & plane).bit_count() << j
+        return total
 
     def walk_support(self, value: int) -> int:
         """The paper's subtree-pruned tree walk over the nodes value divides.
@@ -305,10 +282,11 @@ class PCTree:
         """Check tree invariants; returns one message per violation, empty when sound.
 
         The structural checks (counts, divisibility chains, children in
-        ascending birth order, tree-wide value uniqueness) are linear in the
-        tree. deep=True additionally cross-checks every node's cached factor
-        set, and the item frequency table against both support() and
-        walk_support().
+        ascending birth order, tree-wide value uniqueness, the birth lookup
+        and the head bits) are linear in the tree. deep=True additionally
+        cross-checks every node's cached factor set, rebuilds the item rows
+        from the nodes' items and compares them, and checks the item
+        frequency table against both support() and walk_support().
         """
         problems = []
         seen: dict[int, PCNode] = {}
@@ -329,6 +307,8 @@ class PCTree:
             if node.local_count < 1:
                 problems.append(f"node {node.value}: local_count {node.local_count} < 1")
             local_sum += node.local_count
+            if node.birth >= len(self._nodes) or self._nodes[node.birth] is not node:
+                problems.append(f"node {node.value}: not found under its birth {node.birth}")
             parent = node.parent
             if parent is not self.root:
                 if parent.value % node.value != 0:
@@ -343,12 +323,20 @@ class PCTree:
             problems.append(
                 f"local counts sum to {local_sum}, expected {self.transaction_count}"
             )
+        if self._head_bits != _mask(head.birth for head in self.root.children):
+            problems.append("head bits disagree with the root's children")
         if deep:
+            births: dict[int, list[int]] = {}
             for node in seen.values():
                 if encode(node.items, self.prime_table) != node.value:
                     problems.append(
                         f"node {node.value}: cached items {node.items} disagree with the value"
                     )
+                for item in node.items:
+                    births.setdefault(item, []).append(node.birth)
+            for item in births.keys() | self._rows.keys():
+                if self._rows.get(item, 0) != _mask(births.get(item, ())):
+                    problems.append(f"item {item}: bit row disagrees with the nodes holding it")
             for item, count in self.frequency_table.items():
                 for oracle, got in (("support", self.support((item,))),
                                     ("walk_support",

@@ -177,6 +177,14 @@ def test_bench_stdout_when_no_stats_out(capsys):
     assert lines[1].startswith("demo8.dat,brute,4,11,63,")
 
 
+@pytest.mark.parametrize("algos", ["", ","])
+def test_bench_with_no_algorithm_exits_two(capsys, algos):
+    code, out, err = run(capsys, "bench", "--input", DEMO, "--sigmas", "4", "--algo", algos)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--algo wants a comma-separated list of algorithms" in err
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["mine", "--input", DEMO, "--algo", "nonsense"])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from pcmine.baselines import TransactionDB, apriori_mine
 from pcmine.dataset_io import SyntheticSpec, generate_synthetic
 from pcmine.pc_miner import mine
-from pcmine.pc_tree import NodeBitIndex, PCNode, PCTree, build_tree
+from pcmine.pc_tree import PCNode, PCTree, build_tree
 from pcmine.prime_codec import build_prime_table, encode
 
 A, B, C, D, E, F = range(6)
@@ -166,13 +166,25 @@ def test_validate_checks_the_frequency_table_against_both_oracles(demo_tree):
     assert any(", walk_support() says" in p for p in problems)
 
 
-def test_validate_catches_a_stale_support_index(demo_tree):
-    # an index that misses the first node disagrees with the table; the walk does not
-    nodes = list(demo_tree._node_by_value.values())
-    demo_tree._index = NodeBitIndex(nodes[1:])
+def test_validate_catches_a_node_missing_from_an_item_row(demo_tree):
+    node = demo_tree._node_by_value[70]  # holds A, C and D
+    demo_tree._rows[C] &= ~(1 << node.birth)
     problems = demo_tree.validate()
-    assert problems
-    assert all(", support() says" in p for p in problems)
+    assert f"item {C}: bit row disagrees with the nodes holding it" in problems
+    assert demo_tree.validate(deep=False) == []  # shallow scope skips the rows
+
+
+@pytest.mark.parametrize("value", [2310, 455])
+def test_validate_catches_a_flipped_head_bit(demo_tree, value):
+    # clears a head's bit, or sets the bit of a node below a head
+    demo_tree._head_bits ^= 1 << demo_tree._node_by_value[value].birth
+    assert "head bits disagree with the root's children" in demo_tree.validate(deep=False)
+
+
+def test_validate_catches_a_stale_birth_lookup(demo_tree):
+    nodes = demo_tree._nodes
+    nodes[1], nodes[2] = nodes[2], nodes[1]
+    assert any("not found under its birth" in p for p in demo_tree.validate(deep=False))
 
 
 def test_validate_catches_children_out_of_birth_order(demo_tree):
@@ -190,7 +202,7 @@ def test_validate_catches_count_drift(demo_tree):
 
 
 def test_insert_after_support_is_seen(demo_tree):
-    assert demo_tree.support((A, C, D)) == 5  # builds the index
+    assert demo_tree.support((A, C, D)) == 5  # builds the weight planes
     demo_tree.insert((A, C, D))  # bumps the existing node 70
     assert demo_tree.support((A, C, D)) == 6
     demo_tree.insert((A, B, C, D, E, F))  # a new head
@@ -410,9 +422,9 @@ def reference_shape(db):
 
     The new value goes under the first head, in creation order, that is a
     multiple of it or has any divisor of it in its subtree (every node is
-    tested; no gcd pruning). When that head is a multiple, the parent is the
-    deepest multiple below it, oldest first among equals; otherwise it is the
-    root. The new node adopts the parent's children that divide it.
+    tested). When that head is a multiple, the parent is the deepest multiple
+    below it, oldest first among equals; otherwise it is the root. The new
+    node adopts the parent's children that divide it.
     """
     table = build_prime_table(db.universe)
     root = RefNode(None, 0, None)
@@ -447,12 +459,22 @@ def tree_shape(tree):
 
 
 def wide_short_rows():
-    """Many short rows over a wide universe: many heads, so inserts look up divisors."""
+    """Many short rows over a wide universe, which leave many heads."""
     return st.lists(st.sets(st.integers(min_value=0, max_value=29), min_size=1, max_size=3),
                     min_size=100, max_size=200)
 
 
-@given(rows=st.one_of(wide_short_rows(), chain_rows(), giant_rows(), identical_rows()))
+def mixed_length_rows():
+    """Many 1-3-item rows with a few rows of 8 or more items interleaved among them."""
+    short = st.sets(st.integers(min_value=0, max_value=19), min_size=1, max_size=3)
+    long = st.sets(st.integers(min_value=0, max_value=19), min_size=8, max_size=14)
+    return st.lists(short, min_size=40, max_size=120).flatmap(
+        lambda rows: st.lists(long, min_size=1, max_size=6).flatmap(
+            lambda extra: st.permutations(rows + extra)))
+
+
+@given(rows=st.one_of(wide_short_rows(), mixed_length_rows(), chain_rows(), giant_rows(),
+                      identical_rows()))
 @settings(max_examples=80, deadline=None)
 def test_placement_matches_the_naive_reference(rows):
     db = TransactionDB.from_itemsets(rows)
@@ -461,40 +483,24 @@ def test_placement_matches_the_naive_reference(rows):
     assert tree.validate(deep=False) == []
 
 
-def test_wide_prefix_matches_reference_and_apriori(monkeypatch):
-    # 2,000 rows of the wide workload's database: the first inserts scan the
-    # few heads there are, the later ones look their divisors up
+def test_wide_prefix_matches_reference_and_apriori():
+    # 2,000 rows of the wide workload's database: the first inserts meet a few
+    # heads, the later ones hundreds
     full = generate_synthetic(SyntheticSpec(8000, 60, 0.1, seed=3))
     db = TransactionDB.from_itemsets(full.itemsets()[:2000], universe=full.universe)
-    calls = {"_place_by_scan": 0, "_place_by_lookup": 0}
-    for name in calls:
-        def counted(self, *args, _name=name, _method=getattr(PCTree, name)):
-            calls[_name] += 1
-            return _method(self, *args)
-        monkeypatch.setattr(PCTree, name, counted)
     tree = build_tree(db)
-    assert all(calls.values())
-    assert sum(calls.values()) == tree.node_count
     assert tree_shape(tree) == reference_shape(db)
     assert tree.validate() == []
     sigma = 210  # 0.105 of the rows, as in the wide workload
     assert mine(tree, sigma).frequent == apriori_mine(db, sigma).frequent
 
 
-def test_one_value_adopts_several_non_adjacent_heads(monkeypatch):
-    # 40 one-item heads. {3, 11, 27, 38} has 2^4 <= 40 subsets, so its
-    # divisors are looked up; the 7-item row that follows is placed by the
-    # scan. Each takes its items' heads out of the middle of the root list.
+def test_one_value_adopts_several_non_adjacent_heads():
+    # 40 one-item heads, then a 4-item and a 7-item row: each takes its items'
+    # heads out of the middle of the root list
     short, long = (3, 11, 27, 38), (0, 5, 9, 14, 20, 33, 39)
     db = TransactionDB.from_itemsets([(i,) for i in range(40)] + [short, long])
-    placed = []
-    for name in ("_place_by_scan", "_place_by_lookup"):
-        def spied(self, *args, _name=name, _method=getattr(PCTree, name)):
-            placed.append(_name)
-            return _method(self, *args)
-        monkeypatch.setattr(PCTree, name, spied)
     tree = build_tree(db)
-    assert placed[-2:] == ["_place_by_lookup", "_place_by_scan"]
     table = tree.prime_table
     singles = [table.prime_for(i) for i in range(40) if i not in short + long]
     assert tree.heads() == (*singles, encode(short, table), encode(long, table))
