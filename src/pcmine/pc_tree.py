@@ -12,15 +12,20 @@ itemset once, with its multiplicity as the count: the same tree as one insert
 per row, with one placement search per distinct value.
 
 A new value goes into the first head's subtree, in creation order, that
-holds a multiple or a divisor of it. The tree keeps a vertical index over its
-nodes, in the manner of MAFIA's vertical bitmaps (Burdick et al., ICDE
-2001): one bit row per item, with bit b set when the node born b holds the
-item, and one bit mask of the heads. insert() keeps them current and finds
-the subtree from them, for a transaction of any length: the heads that are
-multiples of itemset x are the heads holding all of x's items, and the
-stored divisors of x are the nodes holding no item outside x. The search
-needs every children list in ascending birth (creation) order, and
-validate() checks that, the rows and the head mask.
+holds a multiple or a divisor of it, below the deepest multiple there. The
+tree keeps a vertical index over its nodes, in the manner of MAFIA's
+vertical bitmaps (Burdick et al., ICDE 2001): one bit row per item, with bit
+b set when the node born b holds the item, one bit mask of the heads, and
+one bit mask per depth. insert() keeps them current and places the value
+from them, for a transaction of any length: the multiples of itemset x are
+the nodes holding all of x's items, the heads among them are an AND with
+the head mask, and the stored divisors of x are the nodes holding no item
+outside x. The deepest multiple is found by ANDing the multiples with the
+depth masks, deepest first. A node's depth only grows, when its subtree is
+adopted, and never passes the item count of its head, so over a build each
+node moves down at most (longest transaction) - 1 times. The search needs
+every children list in ascending birth (creation) order, and validate()
+checks that, the rows and both kinds of mask.
 
 support() takes an itemset and answers from the same rows: an AND of its
 items' rows selects the nodes that hold them all, and the nodes' local
@@ -93,8 +98,10 @@ class PCTree:
     """Prime-coded transaction tree built in one pass over a database.
 
     The tree is meant to be fully built before it is queried; insert() must
-    not run alongside anything else. The item rows and head bits are kept up
-    to date by insert() itself; only the count weight planes are built
+    not run alongside anything else. The item rows, the head bits and the
+    depth masks (_levels[d] has bit b set when the node born b is d edges
+    below the root, so _levels[0] is the root) are kept up to date by
+    insert() itself; only the count weight planes are built
     lazily, by the first support() after an insert(), into a local that is
     published with one attribute store, so first queries racing on a fresh
     tree at worst build them twice and always read complete planes. After
@@ -112,6 +119,7 @@ class PCTree:
         self._nodes = [self.root]  # by birth
         self._rows: dict[int, int] = {}  # item -> bit b set when the node born b holds it
         self._head_bits = 0  # bit b set when the node born b is a root child
+        self._levels = [1]  # depth d -> bit b set when the node born b is d edges deep
         self._planes: tuple[int, ...] | None = None  # count weight planes, by birth
 
     @property
@@ -136,15 +144,26 @@ class PCTree:
         new parent that divide it (this is how a new superset replaces a
         head).
 
-        One search over the item rows finds that subtree. The heads that
-        are multiples of the value are the heads holding all of x's items,
-        and its stored divisors are the nodes holding no item outside x.
-        Only when the earliest multiple is a head other than the first are
-        divisors walked up to their heads, until one is older than it. A
-        new head adopts the heads among the divisors; any other parent's
+        One search over the item rows finds that subtree. The multiples of
+        the value are the nodes holding all of x's items, the heads among
+        them are an AND with the head bits, and its stored divisors are the
+        nodes holding no item outside x. Only when the earliest multiple is
+        a head other than the first are divisors walked up to their heads,
+        until one is older than it. Below a head, the parent is the oldest
+        multiple under that head in the deepest depth mask that holds one.
+        A new head adopts the heads among the divisors; any other parent's
         children are tested one by one. Children lists stay in ascending
         birth order, since new nodes are appended and adopted ones deleted
         in place.
+
+        The new node's bit goes into the depth mask one below its parent's
+        depth, found by walking parent links, and each adopted subtree is
+        walked to move its bits one mask down. A new head that adopts every
+        other head moves the whole tree down, which is one new mask at depth
+        1. A node never moves up, and a node d edges deep has at most
+        (longest transaction) - d + 1 items, so each node moves at most
+        (longest transaction) - 1 times over a build, and the masks take at
+        most (longest transaction) x (nodes) / 8 bytes, like the rows.
         """
         if count < 1:
             raise ValueError(f"a transaction is inserted at least once, got count {count}")
@@ -166,6 +185,7 @@ class PCTree:
         birth = len(self._nodes)
         node = PCNode(value, x, birth=birth, parent=parent, local_count=count)
         siblings = parent.children
+        whole_tree = parent is self.root and len(moved) == len(siblings)
         for child in moved:  # ascending birth, like siblings
             child.parent = node
             del siblings[bisect_left(siblings, child.birth, key=attrgetter("birth"))]
@@ -182,6 +202,25 @@ class PCTree:
             for child in moved:
                 heads ^= 1 << child.birth
             self._head_bits = heads
+        levels = self._levels
+        if whole_tree:  # the root keeps one child: everything else moves down
+            levels.insert(1, bit)
+            return
+        depth, up = 1, parent
+        while up is not self.root:
+            depth += 1
+            up = up.parent
+        levels.append(0)  # room one level below the deepest node; dropped if unused
+        levels[depth] |= bit
+        layer = moved
+        while layer:  # the adopted subtrees move down, one level at a time
+            moving = sum(1 << child.birth for child in layer)
+            levels[depth] ^= moving
+            depth += 1
+            levels[depth] |= moving
+            layer = [grandchild for child in layer for grandchild in child.children]
+        if not levels[-1]:
+            levels.pop()
 
     def _place(self, x: Itemset, value: int) -> tuple[PCNode, list[PCNode]]:
         """Parent and adopted children (ascending birth) for a new value.
@@ -190,14 +229,15 @@ class PCTree:
         head holds a divisor; with no such multiple, the value is a new head.
         """
         root, rows, heads, nodes = self.root, self._rows, self._head_bits, self._nodes
-        multiples = reduce(and_, map(rows.get, x, repeat(0)), heads)
+        contain = reduce(and_, map(rows.get, x, repeat(0)))  # every multiple of value
+        multiples = contain & heads
         earliest = (multiples & -multiples).bit_length() - 1  # -1 when there is none
         if earliest < 0 or nodes[earliest] is not root.children[0]:
             outside = reduce(or_, map(rows.__getitem__, rows.keys() - set(x)), 0)
             divisors = ((1 << len(nodes)) - 2) & ~outside  # bit 0 is the root
             if earliest < 0 or self._divisor_under_older_head(divisors, value, earliest):
                 return root, [nodes[b] for b in _bit_positions(divisors & heads)]
-        parent = self._deepest_multiple(nodes[earliest], value)
+        parent = self._deepest_multiple(contain, earliest)
         return parent, [c for c in parent.children if value % c.value == 0]
 
     def _divisor_under_older_head(self, divisors: int, value: int, birth: int) -> bool:
@@ -217,18 +257,26 @@ class PCTree:
                 return True
         return False
 
-    def _deepest_multiple(self, head: PCNode, value: int) -> PCNode:
-        """Deepest node under head whose value is a multiple; oldest wins ties."""
-        best, best_depth = head, 0
-        stack = [(head, 0)]
-        while stack:
-            node, depth = stack.pop()
-            if depth > best_depth or (depth == best_depth and node.birth < best.birth):
-                best, best_depth = node, depth
-            for child in node.children:
-                if child.value % value == 0:
-                    stack.append((child, depth + 1))
-        return best
+    def _deepest_multiple(self, contain: int, head_birth: int) -> PCNode:
+        """Deepest node of contain under the head born head_birth; the oldest wins ties.
+
+        contain holds every multiple of the new value. Every ancestor of a
+        multiple is one, so the levels are scanned from the deepest up to
+        level 2, and the head itself wins when none of them holds a multiple
+        under it. Multiples under other heads are skipped.
+        """
+        root, nodes, levels = self.root, self._nodes, self._levels
+        for depth in range(len(levels) - 1, 1, -1):
+            found = contain & levels[depth]
+            while found:
+                low = found & -found
+                node = top = nodes[low.bit_length() - 1]
+                while top.parent is not root:
+                    top = top.parent
+                if top.birth == head_birth:
+                    return node
+                found ^= low
+        return nodes[head_birth]
 
     def heads(self) -> tuple[int, ...]:
         """Values of the root's children, in creation order."""
@@ -282,18 +330,25 @@ class PCTree:
         """Check tree invariants; returns one message per violation, empty when sound.
 
         The structural checks (counts, divisibility chains, children in
-        ascending birth order, tree-wide value uniqueness, the birth lookup
-        and the head bits) are linear in the tree. deep=True additionally
-        cross-checks every node's cached factor set, rebuilds the item rows
-        from the nodes' items and compares them, and checks the item
-        frequency table against both support() and walk_support().
+        ascending birth order, tree-wide value uniqueness, the birth lookup,
+        the head bits and the level masks) are linear in the tree. deep=True
+        additionally cross-checks every node's cached factor set, rebuilds
+        the item rows from the nodes' items and compares them, and checks the
+        item frequency table against both support() and walk_support(). Once
+        the factor sets match the values, walk_support() of an item's prime
+        sums the local counts of the nodes holding the item, so one pass
+        tallies it for every item at once.
         """
         problems = []
         seen: dict[int, PCNode] = {}
         local_sum = 0
-        stack: list[PCNode] = [self.root]
+        by_depth: list[list[int]] = []
+        stack: list[tuple[PCNode, int]] = [(self.root, 0)]
         while stack:
-            node = stack.pop()
+            node, depth = stack.pop()
+            if depth == len(by_depth):
+                by_depth.append([])
+            by_depth[depth].append(node.birth)
             last_birth = 0  # below every node's birth
             for child in node.children:
                 if child.parent is not node:
@@ -301,7 +356,7 @@ class PCTree:
                 if child.birth <= last_birth:
                     problems.append(f"node {child.value}: out of birth order among its siblings")
                 last_birth = child.birth
-                stack.append(child)
+                stack.append((child, depth + 1))
             if node is self.root:
                 continue
             if node.local_count < 1:
@@ -325,8 +380,11 @@ class PCTree:
             )
         if self._head_bits != _mask(head.birth for head in self.root.children):
             problems.append("head bits disagree with the root's children")
+        if self._levels != [_mask(births) for births in by_depth]:
+            problems.append("level masks disagree with the nodes' depths")
         if deep:
             births: dict[int, list[int]] = {}
+            walked: Counter[int] = Counter()
             for node in seen.values():
                 if encode(node.items, self.prime_table) != node.value:
                     problems.append(
@@ -334,13 +392,13 @@ class PCTree:
                     )
                 for item in node.items:
                     births.setdefault(item, []).append(node.birth)
+                    walked[item] += node.local_count
             for item in births.keys() | self._rows.keys():
                 if self._rows.get(item, 0) != _mask(births.get(item, ())):
                     problems.append(f"item {item}: bit row disagrees with the nodes holding it")
             for item, count in self.frequency_table.items():
                 for oracle, got in (("support", self.support((item,))),
-                                    ("walk_support",
-                                     self.walk_support(self.prime_table.prime_for(item)))):
+                                    ("walk_support", walked[item])):
                     if got != count:
                         problems.append(
                             f"item {item}: frequency table says {count}, {oracle}() says {got}"

@@ -181,6 +181,17 @@ def test_validate_catches_a_flipped_head_bit(demo_tree, value):
     assert "head bits disagree with the root's children" in demo_tree.validate(deep=False)
 
 
+@pytest.mark.parametrize("value, to_depth", [(455, 1), (2310, 2)])
+def test_validate_catches_a_node_on_the_wrong_level(demo_tree, value, to_depth):
+    # moves one node's bit from its own level mask into another one
+    bit = 1 << demo_tree._node_by_value[value].birth
+    levels = demo_tree._levels
+    depth = next(d for d, level in enumerate(levels) if level & bit)
+    levels[depth] ^= bit
+    levels[to_depth] |= bit
+    assert "level masks disagree with the nodes' depths" in demo_tree.validate(deep=False)
+
+
 def test_validate_catches_a_stale_birth_lookup(demo_tree):
     nodes = demo_tree._nodes
     nodes[1], nodes[2] = nodes[2], nodes[1]
@@ -243,15 +254,22 @@ def test_non_positive_values_are_rejected(demo_tree, value, items):
     assert demo_tree.support(items) == 0
 
 
-def test_deep_chain_builds_and_mines_like_apriori():
-    # {0}, {0, 1}, ..., {0..1199}: every insert adopts the previous head, so the
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_deep_chain_builds_and_mines_like_apriori(order):
+    # {0}, {0, 1}, ..., {0..1199} in any order: each new value goes below its
+    # smallest stored multiple and adopts its largest stored divisor, so the
     # tree is one chain 1,200 levels deep
     depth = 1200
-    db = TransactionDB.from_itemsets([range(k + 1) for k in range(depth)])
+    rows = [range(k + 1) for k in range(depth)]
+    if order == "descending":
+        rows.reverse()
+    elif order == "shuffled":
+        random.Random(5).shuffle(rows)
+    db = TransactionDB.from_itemsets(rows)
     tree = build_tree(db)
     assert tree.heads() == (encode(range(depth), tree.prime_table),)
-    assert tree.validate(deep=False) == []
-    nodes = list(tree._node_by_value.values())  # creation order: node k holds {0..k}
+    assert tree.validate() == []
+    nodes = sorted(tree._node_by_value.values(), key=lambda n: len(n.items))  # k holds {0..k}
     assert all(nodes[k].parent is nodes[k + 1] for k in range(depth - 1))
     assert tree.support(()) == tree.walk_support(1) == depth
     sigma = depth - 8  # items 0..8 are frequent
@@ -473,8 +491,19 @@ def mixed_length_rows():
             lambda extra: st.permutations(rows + extra)))
 
 
+def overlapping_block_rows():
+    """Dense rows from two overlapping item blocks, with small rows from the overlap.
+
+    A row inside the overlap divides heads from both blocks, so several heads
+    are multiples of it, and the subtree of a younger one can reach deeper.
+    """
+    blocks = [st.sets(st.integers(min_value=low, max_value=low + 9), min_size=4) for low in (0, 5)]
+    overlap = st.sets(st.integers(min_value=5, max_value=9), min_size=1, max_size=3)
+    return st.lists(st.one_of(*blocks, overlap), min_size=10, max_size=80)
+
+
 @given(rows=st.one_of(wide_short_rows(), mixed_length_rows(), chain_rows(), giant_rows(),
-                      identical_rows()))
+                      identical_rows(), overlapping_block_rows()))
 @settings(max_examples=80, deadline=None)
 def test_placement_matches_the_naive_reference(rows):
     db = TransactionDB.from_itemsets(rows)
