@@ -109,11 +109,14 @@ def mine(tree: PCTree, sigma: int) -> MiningResult:
     to pairs, lexicographically within a level, so reruns examine the same
     candidates in the same order. Supports for the result map are backfilled
     with fresh queries after the walk; those do not count as examinations.
+    Every frequent itemset is a frequent singleton or a subset of a frequent
+    examined candidate, so the maximal ones are found among those alone.
     """
     sig = effective_sigma(sigma)
     frequent: set[Itemset] = {
         (item,) for item, count in tree.frequency_table.items() if count >= sig
     }
+    tops = list(frequent)  # frequent singletons, then frequent examined candidates
     levels: dict[int, set[Itemset]] = {}
     for head in candidate_head_set(tree, sig):
         levels.setdefault(len(head), set()).add(head)
@@ -127,9 +130,10 @@ def mine(tree: PCTree, sigma: int) -> MiningResult:
             sup = tree.support(candidate)
             examined.append(candidate)
             if sup >= sig:
+                tops.append(candidate)
                 frequent.update(_nonempty_subsets(candidate))
             elif k > 2:
                 below.update(combinations(candidate, k - 1))
     supports = {f: tree.support(f) for f in frequent}
-    maximal = tuple(sorted(_maximal_members(frequent)))
+    maximal = tuple(sorted(_maximal_members(tops)))
     return MiningResult(frequent=supports, maximal=maximal, examined=tuple(examined), sigma=sig)

@@ -12,20 +12,30 @@ itemset once, with its multiplicity as the count: the same tree as one insert
 per row, with one placement search per distinct value.
 
 A new value goes into the first head's subtree, in creation order, that
-holds a multiple or a divisor of it, below the deepest multiple there. The
-tree keeps a vertical index over its nodes, in the manner of MAFIA's
-vertical bitmaps (Burdick et al., ICDE 2001): one bit row per item, with bit
-b set when the node born b holds the item, one bit mask of the heads, and
-one bit mask per depth. insert() keeps them current and places the value
-from them, for a transaction of any length: the multiples of itemset x are
-the nodes holding all of x's items, the heads among them are an AND with
-the head mask, and the stored divisors of x are the nodes holding no item
-outside x. The deepest multiple is found by ANDing the multiples with the
-depth masks, deepest first. A node's depth only grows, when its subtree is
-adopted, and never passes the item count of its head, so over a build each
-node moves down at most (longest transaction) - 1 times. The search needs
-every children list in ascending birth (creation) order, and validate()
-checks that, the rows and both kinds of mask.
+holds a multiple or a divisor of it, below the deepest multiple there; it
+becomes a new head when that subtree holds only divisors of it, or when no
+subtree holds either. It then adopts the children of its new parent that
+divide it. The tree keeps a vertical index over its nodes, in the manner of
+MAFIA's vertical bitmaps (Burdick et al., ICDE 2001): one bit row per item,
+with bit b set when the node born b holds the item, and one bit mask per
+depth, with bit b set when the node born b is that many edges below the
+root, so the depth-1 mask is the heads. insert() keeps them current and
+places the value from them, for a transaction of any length: the multiples
+of itemset x are the nodes holding all of x's items, the heads among them
+are an AND with the depth-1 mask, and the stored divisors of x are the nodes
+holding no item outside x. Only when the earliest multiple head is not the
+first head are the divisors walked up to their heads, until one is older
+than it. The deepest multiple is found by ANDing the multiples with the
+depth masks, deepest first, and the mask it is found in gives the new
+node's depth. A new head adopts the heads among the divisors; any other
+parent's children are tested one by one, and each adopted subtree moves one
+mask down. A node's depth only grows, when its subtree is adopted, and never
+passes the item count of its head, so over a build each node moves down at
+most (longest transaction) - 1 times, and the masks take at most (longest
+transaction) x (nodes) / 8 bytes, like the rows. The search needs every
+children list in ascending birth (creation) order, which holds because new
+nodes are appended and adopted ones deleted in place; validate() checks
+that, the rows and the masks.
 
 support() takes an itemset and answers from the same rows: an AND of its
 items' rows selects the nodes that hold them all, and the nodes' local
@@ -98,10 +108,10 @@ class PCTree:
     """Prime-coded transaction tree built in one pass over a database.
 
     The tree is meant to be fully built before it is queried; insert() must
-    not run alongside anything else. The item rows, the head bits and the
-    depth masks (_levels[d] has bit b set when the node born b is d edges
-    below the root, so _levels[0] is the root) are kept up to date by
-    insert() itself; only the count weight planes are built
+    not run alongside anything else. The item rows and the depth masks
+    (_levels[d] has bit b set when the node born b is d edges below the
+    root, so _levels[0] is the root and _levels[1] the heads) are kept up
+    to date by insert() itself; only the count weight planes are built
     lazily, by the first support() after an insert(), into a local that is
     published with one attribute store, so first queries racing on a fresh
     tree at worst build them twice and always read complete planes. After
@@ -118,7 +128,6 @@ class PCTree:
         self._node_by_value: dict[int, PCNode] = {}
         self._nodes = [self.root]  # by birth
         self._rows: dict[int, int] = {}  # item -> bit b set when the node born b holds it
-        self._head_bits = 0  # bit b set when the node born b is a root child
         self._levels = [1]  # depth d -> bit b set when the node born b is d edges deep
         self._planes: tuple[int, ...] | None = None  # count weight planes, by birth
 
@@ -143,27 +152,6 @@ class PCTree:
         at all also makes it a new head. It then adopts the children of its
         new parent that divide it (this is how a new superset replaces a
         head).
-
-        One search over the item rows finds that subtree. The multiples of
-        the value are the nodes holding all of x's items, the heads among
-        them are an AND with the head bits, and its stored divisors are the
-        nodes holding no item outside x. Only when the earliest multiple is
-        a head other than the first are divisors walked up to their heads,
-        until one is older than it. Below a head, the parent is the oldest
-        multiple under that head in the deepest depth mask that holds one.
-        A new head adopts the heads among the divisors; any other parent's
-        children are tested one by one. Children lists stay in ascending
-        birth order, since new nodes are appended and adopted ones deleted
-        in place.
-
-        The new node's bit goes into the depth mask one below its parent's
-        depth, found by walking parent links, and each adopted subtree is
-        walked to move its bits one mask down. A new head that adopts every
-        other head moves the whole tree down, which is one new mask at depth
-        1. A node never moves up, and a node d edges deep has at most
-        (longest transaction) - d + 1 items, so each node moves at most
-        (longest transaction) - 1 times over a build, and the masks take at
-        most (longest transaction) x (nodes) / 8 bytes, like the rows.
         """
         if count < 1:
             raise ValueError(f"a transaction is inserted at least once, got count {count}")
@@ -181,7 +169,7 @@ class PCTree:
             node.local_count += count
             return
 
-        parent, moved = self._place(x, value)
+        parent, depth, moved = self._place(x, value)
         birth = len(self._nodes)
         node = PCNode(value, x, birth=birth, parent=parent, local_count=count)
         siblings = parent.children
@@ -197,19 +185,11 @@ class PCTree:
         rows = self._rows
         for item in x:
             rows[item] = rows.get(item, 0) | bit
-        if parent is self.root:
-            heads = self._head_bits | bit
-            for child in moved:
-                heads ^= 1 << child.birth
-            self._head_bits = heads
         levels = self._levels
         if whole_tree:  # the root keeps one child: everything else moves down
             levels.insert(1, bit)
             return
-        depth, up = 1, parent
-        while up is not self.root:
-            depth += 1
-            up = up.parent
+        depth += 1  # the new node's
         levels.append(0)  # room one level below the deepest node; dropped if unused
         levels[depth] |= bit
         layer = moved
@@ -222,34 +202,35 @@ class PCTree:
         if not levels[-1]:
             levels.pop()
 
-    def _place(self, x: Itemset, value: int) -> tuple[PCNode, list[PCNode]]:
-        """Parent and adopted children (ascending birth) for a new value.
+    def _place(self, x: Itemset, value: int) -> tuple[PCNode, int, list[PCNode]]:
+        """Parent, its depth and adopted children (ascending birth) for a new value.
 
         The earliest head that is a multiple takes the value unless an older
-        head holds a divisor; with no such multiple, the value is a new head.
+        head holds a divisor; with no such multiple, the value is a new head,
+        under the root at depth 0.
         """
-        root, rows, heads, nodes = self.root, self._rows, self._head_bits, self._nodes
+        root, rows, levels, nodes = self.root, self._rows, self._levels, self._nodes
+        heads = levels[1] if len(levels) > 1 else 0
         contain = reduce(and_, map(rows.get, x, repeat(0)))  # every multiple of value
         multiples = contain & heads
         earliest = (multiples & -multiples).bit_length() - 1  # -1 when there is none
         if earliest < 0 or nodes[earliest] is not root.children[0]:
             outside = reduce(or_, map(rows.__getitem__, rows.keys() - set(x)), 0)
             divisors = ((1 << len(nodes)) - 2) & ~outside  # bit 0 is the root
-            if earliest < 0 or self._divisor_under_older_head(divisors, value, earliest):
-                return root, [nodes[b] for b in _bit_positions(divisors & heads)]
-        parent = self._deepest_multiple(contain, earliest)
-        return parent, [c for c in parent.children if value % c.value == 0]
+            if earliest < 0 or self._divisor_under_older_head(divisors, earliest):
+                return root, 0, [nodes[b] for b in _bit_positions(divisors & heads)]
+        parent, depth = self._deepest_multiple(contain, earliest)
+        return parent, depth, [c for c in parent.children if value % c.value == 0]
 
-    def _divisor_under_older_head(self, divisors: int, value: int, birth: int) -> bool:
-        """Whether a divisor of value sits in the subtree of a head born before birth.
+    def _divisor_under_older_head(self, divisors: int, birth: int) -> bool:
+        """Whether a node of divisors sits in the subtree of a head born before birth.
 
-        Every child of a divisor is a divisor, so only the divisors whose
-        parent is not one are walked up to their heads, sharing the walks.
+        Each divisor is walked up to its head, and a walk stops early at a
+        node an earlier walk passed through, whose head has been checked.
+        So every node is walked at most once.
         """
         root, seen = self.root, set()
         for node in map(self._nodes.__getitem__, _bit_positions(divisors)):
-            if node.parent is not root and value % node.parent.value == 0:
-                continue
             while node.parent is not root and node not in seen:
                 seen.add(node)
                 node = node.parent
@@ -257,13 +238,14 @@ class PCTree:
                 return True
         return False
 
-    def _deepest_multiple(self, contain: int, head_birth: int) -> PCNode:
-        """Deepest node of contain under the head born head_birth; the oldest wins ties.
+    def _deepest_multiple(self, contain: int, head_birth: int) -> tuple[PCNode, int]:
+        """Deepest node of contain under the head born head_birth, and its depth.
 
         contain holds every multiple of the new value. Every ancestor of a
         multiple is one, so the levels are scanned from the deepest up to
-        level 2, and the head itself wins when none of them holds a multiple
-        under it. Multiples under other heads are skipped.
+        level 2, and the head itself, at depth 1, wins when none of them
+        holds a multiple under it. The oldest wins ties. Multiples under
+        other heads are skipped.
         """
         root, nodes, levels = self.root, self._nodes, self._levels
         for depth in range(len(levels) - 1, 1, -1):
@@ -274,9 +256,9 @@ class PCTree:
                 while top.parent is not root:
                     top = top.parent
                 if top.birth == head_birth:
-                    return node
+                    return node, depth
                 found ^= low
-        return nodes[head_birth]
+        return nodes[head_birth], 1
 
     def heads(self) -> tuple[int, ...]:
         """Values of the root's children, in creation order."""
@@ -330,11 +312,11 @@ class PCTree:
         """Check tree invariants; returns one message per violation, empty when sound.
 
         The structural checks (counts, divisibility chains, children in
-        ascending birth order, tree-wide value uniqueness, the birth lookup,
-        the head bits and the level masks) are linear in the tree. deep=True
-        additionally cross-checks every node's cached factor set, rebuilds
-        the item rows from the nodes' items and compares them, and checks the
-        item frequency table against both support() and walk_support(). Once
+        ascending birth order, tree-wide value uniqueness, the birth lookup
+        and the level masks) are linear in the tree. deep=True additionally
+        cross-checks every node's cached factor set, rebuilds the item rows
+        from the nodes' items and compares them, and checks the item
+        frequency table against both support() and walk_support(). Once
         the factor sets match the values, walk_support() of an item's prime
         sums the local counts of the nodes holding the item, so one pass
         tallies it for every item at once.
@@ -378,8 +360,6 @@ class PCTree:
             problems.append(
                 f"local counts sum to {local_sum}, expected {self.transaction_count}"
             )
-        if self._head_bits != _mask(head.birth for head in self.root.children):
-            problems.append("head bits disagree with the root's children")
         if self._levels != [_mask(births) for births in by_depth]:
             problems.append("level masks disagree with the nodes' depths")
         if deep:

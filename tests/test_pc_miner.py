@@ -164,7 +164,16 @@ def small_databases(draw):
 @settings(max_examples=60, deadline=None)
 def test_mine_matches_brute_force_property(db, sigma):
     result = mine(build_tree(db), sigma)
-    assert result.frequent == brute_force_mine(db, sigma).frequent
+    brute = brute_force_mine(db, sigma)
+    assert result.frequent == brute.frequent
+    assert result.maximal == tuple(sorted(maximal_frequent(brute.frequent)))
+
+
+def test_one_long_transaction_is_its_own_only_candidate_and_maximal_set():
+    x = tuple(range(16))
+    result = mine(build_tree(TransactionDB.from_itemsets([x])), 1)
+    assert result.examined == result.maximal == (x,)
+    assert len(result.frequent) == 2 ** 16 - 1
 
 
 def at_most_ten_frequent_items(tree, sigma):

@@ -176,9 +176,9 @@ def test_validate_catches_a_node_missing_from_an_item_row(demo_tree):
 
 @pytest.mark.parametrize("value", [2310, 455])
 def test_validate_catches_a_flipped_head_bit(demo_tree, value):
-    # clears a head's bit, or sets the bit of a node below a head
-    demo_tree._head_bits ^= 1 << demo_tree._node_by_value[value].birth
-    assert "head bits disagree with the root's children" in demo_tree.validate(deep=False)
+    # clears a head's bit in the depth-1 mask, or sets a deeper node's bit there
+    demo_tree._levels[1] ^= 1 << demo_tree._node_by_value[value].birth
+    assert "level masks disagree with the nodes' depths" in demo_tree.validate(deep=False)
 
 
 @pytest.mark.parametrize("value, to_depth", [(455, 1), (2310, 2)])
