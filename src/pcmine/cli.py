@@ -1,13 +1,17 @@
 """Command-line front end: mine one database, cross-check miners, sweep thresholds.
 
 Exit codes: 0 on success (and on EQUAL for compare), 1 when compare finds a
-semantic difference or a miner refuses the input, 2 on usage and parse errors.
-All output except the time_* lines is byte-identical across reruns.
+semantic difference or a miner refuses the input, 2 on usage and parse errors,
+141 (128 + SIGPIPE, what a shell shows for a writer killed by a closed pipe)
+when the reader of stdout goes away first, as `pcmine mine ... | head -1`
+does; that exit prints nothing. All output except the time_* lines is
+byte-identical across reruns.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -20,6 +24,7 @@ from .baselines import TransactionDB
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 
 @dataclass
@@ -225,6 +230,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # Nobody reads stdout any more; point it at devnull so that the
+        # flush at interpreter exit does not fail on the closed pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except baselines.UniverseTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

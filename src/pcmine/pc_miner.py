@@ -4,11 +4,15 @@ Every inserted transaction's value divides one of the tree's heads, so the
 heads cover the whole database from above. Dropping infrequent items from
 each head and keeping only the subset-maximal survivors yields the candidate
 head set: a small antichain from which every frequent itemset is reachable by
-deleting items. Mining walks that set top-down. A frequent candidate settles
-all of its subsets at once; an infrequent one (above the pair level) spawns
-its one-smaller subsets as new candidates. Each distinct candidate's support
-is evaluated at most once, which is where the saving over level-wise joins
-comes from on databases whose transactions overlap heavily.
+deleting items. Mining walks that set top-down, one itemset size at a time.
+A frequent candidate settles all of its subsets at once. Level k is every
+k-subset of the heads that no frequent candidate covers. That is the paper's
+walk, where an infrequent candidate spawns its one-smaller subsets: a
+k-subset of a head is reached down any chain of spawns from that head
+unless a link of the chain is frequent, and then that link covers it. Each
+distinct candidate's support is evaluated at most once, which is where the
+saving over level-wise joins comes from on databases whose transactions
+overlap heavily.
 
 Each evaluation is one PCTree.support() query on the candidate itemset,
 which the tree answers from its vertical bit index without encoding the
@@ -107,7 +111,11 @@ def mine(tree: PCTree, sigma: int) -> MiningResult:
 
     Candidates are processed level by level from the largest head size down
     to pairs, lexicographically within a level, so reruns examine the same
-    candidates in the same order. Supports for the result map are backfilled
+    candidates in the same order. Level k is built once, when the walk
+    reaches it: the k-subsets of the candidate heads minus every itemset
+    already known frequent. Examining a k-candidate adds no other
+    k-itemset to the frequent ones, so the level needs no further check
+    while it runs. Supports for the result map are backfilled
     with fresh queries after the walk; those do not count as examinations.
     Every frequent itemset is a frequent singleton or a subset of a frequent
     examined candidate, so the maximal ones are found among those alone.
@@ -117,23 +125,19 @@ def mine(tree: PCTree, sigma: int) -> MiningResult:
         (item,) for item, count in tree.frequency_table.items() if count >= sig
     }
     tops = list(frequent)  # frequent singletons, then frequent examined candidates
-    levels: dict[int, set[Itemset]] = {}
-    for head in candidate_head_set(tree, sig):
-        levels.setdefault(len(head), set()).add(head)
+    heads = candidate_head_set(tree, sig)
     examined: list[Itemset] = []
-    k_max = max(levels, default=0)
-    for k in range(k_max, 1, -1):
-        below = levels.setdefault(k - 1, set())
-        for candidate in sorted(levels.pop(k, ())):
-            if candidate in frequent:
-                continue
-            sup = tree.support(candidate)
+    for k in range(max(map(len, heads), default=0), 1, -1):
+        # the heads are an antichain, so only a head itself can cover it
+        level = {sub for head in heads if head not in frequent for sub in combinations(head, k)}
+        level -= frequent
+        for candidate in sorted(level):
             examined.append(candidate)
-            if sup >= sig:
+            if tree.support(candidate) >= sig:
                 tops.append(candidate)
                 frequent.update(_nonempty_subsets(candidate))
-            elif k > 2:
-                below.update(combinations(candidate, k - 1))
+        del level  # build the next level only once this one is released
+    del heads  # and release the heads before the result is built
     supports = {f: tree.support(f) for f in frequent}
     maximal = tuple(sorted(_maximal_members(tops)))
     return MiningResult(frequent=supports, maximal=maximal, examined=tuple(examined), sigma=sig)

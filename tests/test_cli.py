@@ -1,11 +1,23 @@
-"""End-to-end CLI tests, run in-process through main()."""
+"""End-to-end CLI tests, run in-process through main(), and as `python -m pcmine` children."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pcmine import cli
-from pcmine.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, RunOutcome, main, resolve_sigma
+from pcmine.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_MISMATCH,
+    EXIT_OK,
+    EXIT_USAGE,
+    RunOutcome,
+    main,
+    resolve_sigma,
+)
 from tests.conftest import DEMO_PATH
 
 DEMO = str(DEMO_PATH)
@@ -177,12 +189,22 @@ def test_bench_stdout_when_no_stats_out(capsys):
     assert lines[1].startswith("demo8.dat,brute,4,11,63,")
 
 
-@pytest.mark.parametrize("algos", ["", ","])
-def test_bench_with_no_algorithm_exits_two(capsys, algos):
-    code, out, err = run(capsys, "bench", "--input", DEMO, "--sigmas", "4", "--algo", algos)
+@pytest.mark.parametrize("flag, value, message", [
+    pytest.param("--algo", "", "--algo wants a comma-separated list of algorithms",
+                 id="algo-empty"),
+    pytest.param("--algo", ",", "--algo wants a comma-separated list of algorithms",
+                 id="algo-comma"),
+    pytest.param("--algo", "nosuch", "unknown algorithm 'nosuch'", id="algo-unknown"),
+    pytest.param("--sigmas", ",", "--sigmas wants a comma-separated list of thresholds",
+                 id="sigmas-comma"),
+])
+def test_bench_with_a_bad_list_exits_two(capsys, flag, value, message):
+    lists = {"--sigmas": "4", "--algo": "pcminer", flag: value}
+    code, out, err = run(capsys, "bench", "--input", DEMO,
+                         *(part for pair in lists.items() for part in pair))
     assert code == EXIT_USAGE
     assert out == ""
-    assert "--algo wants a comma-separated list of algorithms" in err
+    assert message in err
 
 
 def test_usage_errors_exit_two(capsys):
@@ -234,3 +256,31 @@ def test_bad_synthetic_spec_exits_two(capsys):
     code, _, err = run(capsys, "mine", "--synthetic", "10,5", "--min-sup", "1")
     assert code == EXIT_USAGE
     assert "N,ITEMS,DENSITY,SEED" in err
+
+
+def module_command(*argv):
+    """`python -m pcmine ...` as a child, with this checkout's package importable."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return [sys.executable, "-m", "pcmine", *argv], env
+
+
+def test_python_dash_m_runs_the_cli():
+    command, env = module_command("mine", "--input", DEMO, "--min-sup", "4", "--quiet")
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_OK
+    assert "candidates: 6" in done.stdout.splitlines()
+
+
+def test_a_reader_that_goes_away_ends_the_run_quietly():
+    # about 355 KB of itemset lines, far more than a pipe buffers
+    command, env = module_command("mine", "--synthetic", "400,14,0.6,1", "--min-sup", "1")
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as child:
+        assert child.stdout.readline().startswith(b"dataset: ")
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert code == EXIT_BROKEN_PIPE
+    assert err == b""

@@ -1,15 +1,18 @@
 """Miner tests: the frozen worked example, edge thresholds, lattice properties."""
 
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmine.baselines import TransactionDB, brute_force_mine
+from pcmine.baselines import TransactionDB, brute_force_mine, effective_sigma
 from pcmine.dataset_io import SyntheticSpec, generate_synthetic
 from pcmine.pc_miner import (
+    MiningResult,
     _maximal_members,
+    _nonempty_subsets,
     candidate_head,
     candidate_head_set,
     maximal_frequent,
@@ -182,12 +185,56 @@ def at_most_ten_frequent_items(tree, sigma):
     return max(sigma, counts[10] + 1) if len(counts) > 10 else sigma
 
 
+def spawning_walk(tree, sigma):
+    """The paper's walk with a spawning pool: the reference for mine()'s levels.
+
+    Each infrequent candidate above the pair level spawns its one-smaller
+    subsets into the pool of the level below, and a pool member already
+    known frequent is skipped when its turn comes.
+    """
+    sig = effective_sigma(sigma)
+    frequent = {(item,) for item, count in tree.frequency_table.items() if count >= sig}
+    tops = list(frequent)
+    levels = {}
+    for head in candidate_head_set(tree, sig):
+        levels.setdefault(len(head), set()).add(head)
+    examined = []
+    for k in range(max(levels, default=0), 1, -1):
+        below = levels.setdefault(k - 1, set())
+        for candidate in sorted(levels.pop(k, ())):
+            if candidate in frequent:
+                continue
+            examined.append(candidate)
+            if tree.support(candidate) >= sig:
+                tops.append(candidate)
+                frequent.update(_nonempty_subsets(candidate))
+            elif k > 2:
+                below.update(combinations(candidate, k - 1))
+    supports = {f: tree.support(f) for f in frequent}
+    maximal = tuple(sorted(_maximal_members(tops)))
+    return MiningResult(frequent=supports, maximal=maximal, examined=tuple(examined), sigma=sig)
+
+
+def assert_same_walk(result, reference):
+    assert result.examined == reference.examined
+    assert result.frequent.keys() == reference.frequent.keys()
+    assert result.maximal == reference.maximal
+
+
+def test_sparse_walk_database_examines_what_the_spawning_walk_does():
+    tree = build_tree(generate_synthetic(SyntheticSpec(1000, 20, 0.3, 7)))
+    result = mine(tree, 50)
+    assert len(result.examined) == 73_185
+    assert_same_walk(result, spawning_walk(tree, 50))
+
+
 @given(db=st.one_of(databases(), adversarial_databases()), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_walk_does_not_depend_on_the_support_oracle(db, data):
     tree = build_tree(db)
     sigma = at_most_ten_frequent_items(tree, data.draw(st.integers(1, len(db))))
     indexed = mine(tree, sigma)
+    assert_same_walk(indexed, spawning_walk(tree, sigma))
     table, calls = tree.prime_table, []
 
     def walked_support(items):

@@ -153,6 +153,25 @@ def test_validate_catches_divisibility_break(demo_tree):
     assert any("divide" in p for p in demo_tree.validate(deep=False))
 
 
+def test_validate_catches_a_parent_link_that_does_not_match_the_shape(demo_tree):
+    demo_tree._node_by_value[70].parent = demo_tree.root  # still a child of 770
+    problems = demo_tree.validate(deep=False)
+    assert "node 70: parent link does not match tree shape" in problems
+
+
+def test_validate_catches_a_node_equal_to_its_parent(demo_tree):
+    node = demo_tree._node_by_value[70]
+    node.value = 770  # divides its parent 770, but is not strictly below it
+    assert "node 770 is not strictly below parent 770" in demo_tree.validate(deep=False)
+
+
+def test_validate_catches_cached_items_that_disagree_with_the_value(demo_tree):
+    demo_tree._node_by_value[70].items = (A, C)
+    problems = demo_tree.validate()
+    assert f"node 70: cached items {(A, C)} disagree with the value" in problems
+    assert not any("cached items" in p for p in demo_tree.validate(deep=False))
+
+
 def test_validate_catches_stale_frequency_table(demo_tree):
     demo_tree.frequency_table[A] += 1
     assert any("frequency table" in p for p in demo_tree.validate())
