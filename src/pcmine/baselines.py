@@ -1,13 +1,16 @@
 """Reference miners: exhaustive enumeration and level-wise Apriori.
 
-Both are independent of the tree-based miner and of each other, so the three
-implementations can cross-check one another on any database small enough for
-all of them to run.
+Apriori reads TransactionDB.tally(), the one place duplicate rows are
+collapsed, which build_tree reads too: it counts each distinct row once,
+weighted by its multiplicity. Brute force scans the raw rows and reads
+nothing the other two miners share, so it is the independent check: a wrong
+tally makes pcminer and Apriori agree with each other and differ from it.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -31,6 +34,7 @@ class TransactionDB:
 
     transactions holds (tid, itemset) pairs with tids unique and ascending;
     universe is the ascending tuple of item ids the transactions draw from.
+    tally() is the only place duplicate rows are collapsed.
     """
 
     transactions: tuple[tuple[int, Itemset], ...]
@@ -68,6 +72,10 @@ class TransactionDB:
     def __len__(self) -> int:
         return len(self.transactions)
 
+    def tally(self) -> Counter[Itemset]:
+        """Each distinct itemset with its number of rows, in first-occurrence order."""
+        return Counter(items for _tid, items in self.transactions)
+
 
 @dataclass(frozen=True)
 class BaselineResult:
@@ -92,9 +100,15 @@ def _mask(items: Iterable[int], index: dict[int, int]) -> int:
     return m
 
 
-def _count(masks: Sequence[int], m: int) -> int:
-    """Rows whose mask holds every bit of m."""
-    return sum(1 for t in masks if t & m == m)
+def _count(single: Sequence[int], repeated: Sequence[tuple[int, int]], m: int) -> int:
+    """Rows whose mask holds every bit of m.
+
+    Each mask in single is one row; each (mask, k) pair in repeated is k rows.
+    Rows seen once stay plain masks, so they cost what an unweighted scan
+    costs; one pass over (mask, k) pairs would unpack a tuple for every row.
+    """
+    return (sum(1 for t in single if t & m == m)
+            + sum(k for t, k in repeated if t & m == m))
 
 
 def brute_force_refusal(db: TransactionDB) -> str | None:
@@ -127,7 +141,7 @@ def brute_force_mine(db: TransactionDB, sigma: int) -> BaselineResult:
     for size in range(1, n + 1):
         for combo in combinations(db.universe, size):
             candidates += 1
-            sup = _count(masks, _mask(combo, index))
+            sup = _count(masks, (), _mask(combo, index))
             if sup >= sig:
                 frequent[combo] = sup
     return BaselineResult(frequent=frequent, candidates_generated=candidates)
@@ -164,18 +178,22 @@ def _prune_level(joined: Iterable[Itemset], prev_frequent: set[Itemset]) -> list
 def apriori_mine(db: TransactionDB, sigma: int) -> BaselineResult:
     """Level-wise join-and-prune mining with one database scan per level.
 
-    candidates_generated counts the candidates that survive pruning at sizes
-    two and up; the singleton pass is a plain frequency scan and is not
-    counted.
+    The scans read db.tally(): each distinct row is tested once and counts
+    as many rows as it occurs. candidates_generated counts the candidates
+    that survive pruning at sizes two and up; the singleton pass is a plain
+    frequency scan and is not counted.
     """
     sig = effective_sigma(sigma)
     index = {item: i for i, item in enumerate(db.universe)}
-    masks = [_mask(items, index) for _, items in db.transactions]
+    tally = db.tally()
+    single = [_mask(items, index) for items, k in tally.items() if k == 1]
+    repeated = [(_mask(items, index), k) for items, k in tally.items() if k > 1]
 
     counts = dict.fromkeys(db.universe, 0)
-    for _, items in db.transactions:
+    for items, k in tally.items():
         for item in items:
-            counts[item] += 1
+            counts[item] += k
+    del tally  # the level scans read only the masks; this lowers their peak
     frequent: dict[Itemset, int] = {(i,): c for i, c in counts.items() if c >= sig}
     level: list[Itemset] = sorted(frequent)
 
@@ -185,7 +203,7 @@ def apriori_mine(db: TransactionDB, sigma: int) -> BaselineResult:
         candidates += len(pruned)
         next_level = []
         for cand in pruned:
-            sup = _count(masks, _mask(cand, index))
+            sup = _count(single, repeated, _mask(cand, index))
             if sup >= sig:
                 frequent[cand] = sup
                 next_level.append(cand)

@@ -7,9 +7,10 @@ heads, are the values nothing inserted so far fits under.
 
 A repeated transaction only bumps its node's count, so placement depends only
 on the order in which distinct values first arrive. build_tree() therefore
-tallies the rows in order of first occurrence and inserts each distinct
-itemset once, with its multiplicity as the count: the same tree as one insert
-per row, with one placement search per distinct value.
+reads the database's tally, TransactionDB.tally(), in order of first
+occurrence and inserts each distinct itemset once, with its multiplicity as
+the count: the same tree as one insert per row, with one placement search per
+distinct value.
 
 A new value goes into the first head's subtree, in creation order, that
 holds a multiple or a divisor of it, below the deepest multiple there; it
@@ -389,13 +390,12 @@ class PCTree:
 def build_tree(db: TransactionDB) -> PCTree:
     """One-pass tree construction over a whole database.
 
-    The rows are tallied first, in order of first occurrence, and each
-    distinct itemset is inserted once with its multiplicity. Placement
-    depends only on the order in which distinct values first arrive, and a
-    repeat only bumps a count, so the tree is the same as one insert per row.
+    Each distinct itemset of db.tally() is inserted once with its
+    multiplicity, in order of first occurrence. Placement depends only on
+    the order in which distinct values first arrive, and a repeat only bumps
+    a count, so the tree is the same as one insert per row.
     """
     tree = PCTree(build_prime_table(db.universe))
-    tally = Counter(items for _tid, items in db.transactions)  # first-occurrence order
-    for items, count in tally.items():
+    for items, count in db.tally().items():
         tree.insert(items, count)
     return tree

@@ -11,7 +11,7 @@ itemsets overflow machine words, so values are plain Python ints throughout.
 from __future__ import annotations
 
 from itertools import compress
-from math import isqrt, log
+from math import isqrt, log, prod
 from typing import Iterable
 
 Itemset = tuple[int, ...]
@@ -106,10 +106,10 @@ def encode(items: Iterable[int], table: PrimeTable) -> int:
     The empty set encodes to 1. Raises UnknownItemError when an item is
     outside the table's universe, which signals a table/universe mismatch.
     """
-    value = 1
-    for item in set(items):
-        value *= table.prime_for(item)
-    return value
+    try:
+        return prod([table._prime_by_item[item] for item in set(items)])
+    except KeyError as missing:
+        raise UnknownItemError(f"item {missing.args[0]} is not in this prime table") from None
 
 
 def decode(value: int, table: PrimeTable) -> Itemset:

@@ -31,6 +31,13 @@ def test_transaction_db_validation():
         TransactionDB(transactions=(), universe=(1, 0))
 
 
+def test_tally_keeps_first_occurrence_order_and_every_row():
+    db = TransactionDB.from_itemsets([(B,), (A, C), (B,), (D,), (A, C), (B,)])
+    tally = db.tally()
+    assert list(tally.items()) == [((B,), 3), ((A, C), 2), ((D,), 1)]
+    assert sum(tally.values()) == len(db)
+
+
 def test_from_itemsets_assigns_tids_and_universe():
     db = TransactionDB.from_itemsets([(2, 0), (1,)])
     assert db.transactions == ((1, (0, 2)), (2, (1,)))
@@ -118,6 +125,7 @@ SPECS = [
     SyntheticSpec(48, 10, 0.3, seed=32),
     SyntheticSpec(64, 12, 0.2, seed=33),
     SyntheticSpec(24, 8, 0.6, seed=34),
+    SyntheticSpec(400, 6, 0.6, seed=35),  # at most 63 distinct rows, heavily repeated
 ]
 
 
@@ -139,7 +147,17 @@ def small_databases(draw):
     return TransactionDB.from_itemsets(rows, universe=range(n_items))
 
 
-@given(db=small_databases(), sigma=st.integers(min_value=1, max_value=8))
+@st.composite
+def repeated_databases(draw):
+    """A small database whose rows each occur 1 to 4 times, shuffled."""
+    db = draw(small_databases())
+    rows = [items for items in db.itemsets()
+            for _ in range(draw(st.integers(min_value=1, max_value=4)))]
+    return TransactionDB.from_itemsets(draw(st.permutations(rows)), universe=db.universe)
+
+
+@given(db=st.one_of(small_databases(), repeated_databases()),
+       sigma=st.integers(min_value=1, max_value=8))
 @settings(max_examples=60, deadline=None)
 def test_baselines_agree_property(db, sigma):
     assert apriori_mine(db, sigma).frequent == brute_force_mine(db, sigma).frequent

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from pcmine import cli
+from pcmine.baselines import TransactionDB
 from pcmine.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_MISMATCH,
@@ -136,6 +137,23 @@ def test_compare_detects_an_injected_fault(capsys, monkeypatch):
     assert code == EXIT_MISMATCH
     assert out.splitlines()[-1].startswith("DIFFER")
     assert "apriori" in out
+
+
+def test_compare_catches_a_wrong_tally_through_brute_force(capsys, monkeypatch):
+    real = TransactionDB.tally
+
+    def one_copy_short(db):
+        tally = real(db)
+        (repeated,) = [items for items, k in tally.items() if k > 1]  # demo8 has one
+        tally[repeated] -= 1
+        return tally
+
+    monkeypatch.setattr(TransactionDB, "tally", one_copy_short)
+    code, out, _ = run(capsys, "compare", "--input", DEMO, "--min-sup", "4")
+    assert code == EXIT_MISMATCH
+    last = out.splitlines()[-1]
+    # pcminer and Apriori read the same tally and agree; brute force scans the rows
+    assert last.startswith("DIFFER") and "brute=" in last
 
 
 def test_compare_detects_a_missing_itemset(capsys, monkeypatch):
