@@ -14,6 +14,11 @@ distinct candidate's support is evaluated at most once, which is where the
 saving over level-wise joins comes from on databases whose transactions
 overlap heavily.
 
+A level is built from ordered runs. The heads are sorted once, each head's
+k-subsets come from combinations() in lexicographic order, and a dict built
+over them all drops the repeats while keeping that order. So the level's
+sort merges one ascending run per head instead of sorting hash order.
+
 Each evaluation is one PCTree.support() query on the candidate itemset,
 which the tree answers from its vertical bit index without encoding the
 candidate; the paper's pruned tree walk, PCTree.walk_support(), takes the
@@ -112,8 +117,9 @@ def mine(tree: PCTree, sigma: int) -> MiningResult:
     Candidates are processed level by level from the largest head size down
     to pairs, lexicographically within a level, so reruns examine the same
     candidates in the same order. Level k is built once, when the walk
-    reaches it: the k-subsets of the candidate heads minus every itemset
-    already known frequent. Examining a k-candidate adds no other
+    reaches it: the k-subsets of the candidate heads, head by head in sorted
+    order, minus every itemset already known frequent, then sorted, which
+    merges the heads' ascending runs. Examining a k-candidate adds no other
     k-itemset to the frequent ones, so the level needs no further check
     while it runs. Supports for the result map are backfilled
     with fresh queries after the walk; those do not count as examinations.
@@ -125,12 +131,14 @@ def mine(tree: PCTree, sigma: int) -> MiningResult:
         (item,) for item, count in tree.frequency_table.items() if count >= sig
     }
     tops = list(frequent)  # frequent singletons, then frequent examined candidates
-    heads = candidate_head_set(tree, sig)
+    heads = sorted(candidate_head_set(tree, sig))
     examined: list[Itemset] = []
     for k in range(max(map(len, heads), default=0), 1, -1):
         # the heads are an antichain, so only a head itself can cover it
-        level = {sub for head in heads if head not in frequent for sub in combinations(head, k)}
-        level -= frequent
+        level = dict.fromkeys(chain.from_iterable(
+            combinations(head, k) for head in heads if head not in frequent))
+        for known in level.keys() & frequent:
+            del level[known]
         for candidate in sorted(level):
             examined.append(candidate)
             if tree.support(candidate) >= sig:

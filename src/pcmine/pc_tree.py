@@ -38,14 +38,16 @@ children list in ascending birth (creation) order, which holds because new
 nodes are appended and adopted ones deleted in place; validate() checks
 that, the rows and the masks.
 
-support() takes an itemset and answers from the same rows: an AND of its
-items' rows selects the nodes that hold them all, and the nodes' local
-counts, split into binary weight planes, add up with one popcount per plane,
-with no prime arithmetic. The paper's own query, walk_support(), takes a
-prime-coded value and stays as the reference oracle: it sums local counts
-over nodes the query value divides, skipping a whole subtree as soon as its
-top value fails the test, since descendant values divide their ancestors'
-and non-divisibility propagates all the way down.
+support() takes an itemset and answers from the same rows, with no prime
+arithmetic: an AND of its items' rows selects the nodes that hold them all,
+one popcount counts them, and their local counts' excess over 1, split into
+binary weight planes, adds one popcount per plane. Most nodes of a sparse
+database count 1, so its trees have few planes or none. The paper's own
+query, walk_support(), takes a prime-coded value and stays as the reference
+oracle: it sums local counts over nodes the query value divides, skipping a
+whole subtree as soon as its top value fails the test, since descendant
+values divide their ancestors' and non-divisibility propagates all the way
+down.
 
 The paper's per-node global count (the local counts summed along the root
 path) is not stored, because neither support() nor walk_support() reads it.
@@ -269,24 +271,28 @@ class PCTree:
         """Number of ingested transactions that contain every one of items.
 
         An AND of the items' rows selects the nodes holding all of them, and
-        the nodes' local counts, split into binary weight planes (bit b of
-        plane j is bit j of the count of the node born b), are summed as one
-        popcount per plane. The planes are built on the first query after an
-        insert. An item that no node holds gives 0, a repeated item counts
-        once, and the empty itemset gives transaction_count.
+        the total is the popcount of that selection plus the nodes' count
+        excesses, split into binary weight planes (bit b of plane j is bit j
+        of local_count - 1 of the node born b; the root is in no plane) and
+        summed as one popcount per plane. A tree with no count above 1 has
+        no plane. The planes are built on the first query after an insert.
+        An item that no node holds gives 0, a repeated item counts once, and
+        the empty itemset gives transaction_count.
         """
         planes = self._planes
         if planes is None:
-            nodes = self._nodes
-            depth = max(node.local_count for node in nodes).bit_length()
+            excess = [node.local_count - 1 for node in self._nodes]
+            excess[0] = 0  # the root is in no plane
             planes = self._planes = tuple(
-                _mask(b for b, node in enumerate(nodes) if node.local_count >> j & 1)
-                for j in range(depth))
+                _mask(b for b, e in enumerate(excess) if e >> j & 1)
+                for j in range(max(excess).bit_length()))
         rows = self._rows
         hit = -1  # every node; an item no node holds clears it
         for item in items:
             hit &= rows.get(item, 0)
-        total = 0
+        if hit < 0:  # no items, so no row narrowed it
+            return self.transaction_count
+        total = hit.bit_count()
         for j, plane in enumerate(planes):
             total += (hit & plane).bit_count() << j
         return total

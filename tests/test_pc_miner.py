@@ -1,5 +1,6 @@
 """Miner tests: the frozen worked example, edge thresholds, lattice properties."""
 
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmine.baselines import TransactionDB, brute_force_mine, effective_sigma
+from pcmine import pc_miner
+from pcmine.baselines import TransactionDB, apriori_mine, brute_force_mine, effective_sigma
 from pcmine.dataset_io import SyntheticSpec, generate_synthetic
 from pcmine.pc_miner import (
     MiningResult,
@@ -247,6 +249,39 @@ def test_walk_does_not_depend_on_the_support_oracle(db, data):
     assert walked.examined == indexed.examined
     assert walked.frequent == indexed.frequent
     assert walked.maximal == indexed.maximal
+
+
+@given(db=st.one_of(databases(), adversarial_databases()), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_levels_descend_in_size_and_ascend_within_one(db, data):
+    tree = build_tree(db)
+    sigma = at_most_ten_frequent_items(tree, data.draw(st.integers(1, len(db))))
+    examined = mine(tree, sigma).examined
+    for before, after in zip(examined, examined[1:]):
+        assert len(before) > len(after) or (len(before) == len(after) and before < after)
+
+
+def test_head_set_order_does_not_change_the_result(monkeypatch):
+    tree = build_tree(generate_synthetic(SyntheticSpec(1000, 20, 0.3, 7)))
+    expected = mine(tree, 50)
+
+    def shuffled(tree, sigma, _heads=candidate_head_set):
+        heads = list(_heads(tree, sigma))
+        random.Random(5).shuffle(heads)
+        return heads
+
+    monkeypatch.setattr(pc_miner, "candidate_head_set", shuffled)
+    assert mine(tree, 50) == expected
+
+
+def test_dense_duplicate_database_walks_like_the_spawning_walk():
+    db = generate_synthetic(SyntheticSpec(40000, 12, 0.6, 1))
+    tree = build_tree(db)
+    result = mine(tree, 2000)
+    assert len(result.examined) == 3_302
+    assert_same_walk(result, spawning_walk(tree, 2000))
+    assert len(result.frequent) == 1_585
+    assert result.frequent == apriori_mine(db, 2000).frequent
 
 
 @given(db=st.one_of(databases(), adversarial_databases()), data=st.data())

@@ -242,6 +242,40 @@ def test_insert_after_support_is_seen(demo_tree):
     assert demo_tree.validate() == []
 
 
+SINGLE_ROWS = [(A,), (B, C), (D, E), (A, C, E), (F,), (A, B, C, D, E, F)]
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3, 4, 5, 8, 9, 16, 17, 300])
+def test_count_excess_planes_answer_every_subset(copies):
+    # plane j holds bit j of local_count - 1, so a count c needs (c - 1).bit_length() planes
+    rows = [(B, C, D)] * copies + SINGLE_ROWS
+    tree = build_tree(TransactionDB.from_itemsets(rows, universe=range(6)))
+    table = tree.prime_table
+    for size in range(7):
+        for items in combinations(range(6), size):
+            assert tree.support(items) == tree.walk_support(encode(items, table)) == count_oracle(
+                rows, items)
+    assert len(tree._planes) == (copies - 1).bit_length()
+
+
+def test_count_excess_planes_edge_cases():
+    tree = build_tree(TransactionDB.from_itemsets(SINGLE_ROWS, universe=range(6)))
+    assert tree.support((99,)) == tree.support((A, 99)) == 0
+    assert tree._planes == ()  # no repeated row: every query is one popcount
+    assert tree.support(()) == tree.transaction_count == len(SINGLE_ROWS)
+    assert tree.support((A,)) == 3
+
+
+def test_validate_catches_a_flipped_plane_bit(demo_tree):
+    demo_tree.support(())  # builds the planes
+    node = demo_tree._node_by_value[455]  # C, D and F, counted twice
+    first, *rest = demo_tree._planes
+    demo_tree._planes = (first ^ 1 << node.birth, *rest)
+    problems = demo_tree.validate()
+    assert f"item {C}: frequency table says 7, support() says 6" in problems
+    assert not any("walk_support() says" in p for p in problems)
+
+
 @pytest.mark.parametrize("value, items", [
     pytest.param(17, (6,), id="17"),
     pytest.param(70 * 17, (A, C, D, 6), id="1190"),
