@@ -70,19 +70,24 @@ ALGORITHMS = {
 
 
 def resolve_sigma(text: str, db_size: int) -> int:
-    """An integer literal is an absolute count; a fraction f in (0, 1] is ceil(f * |D|)."""
+    """An integer literal is an absolute count; a fraction f in (0, 1] is ceil(f * |D|).
+
+    The result is the threshold the miners enforce, so that the output shows
+    it: a 0 becomes 1, with baselines.effective_sigma's warning.
+    """
     try:
         if any(c in text for c in ".eE"):
             fraction = float(text)
             if not 0.0 < fraction <= 1.0:
                 raise ValueError(f"fractional min-sup must be in (0, 1], got {text}")
-            return ceil(fraction * db_size)
-        value = int(text)
+            value = ceil(fraction * db_size)
+        else:
+            value = int(text)
     except ValueError as exc:
         raise ValueError(f"cannot read min-sup {text!r}: {exc}") from None
     if value < 0:
         raise ValueError(f"min-sup must be non-negative, got {value}")
-    return value
+    return baselines.effective_sigma(value)
 
 
 def _load_db(args) -> tuple[str, TransactionDB]:

@@ -24,11 +24,13 @@ root, so the depth-1 mask is the heads. insert() keeps them current and
 places the value from them, for a transaction of any length: the multiples
 of itemset x are the nodes holding all of x's items, the heads among them
 are an AND with the depth-1 mask, and the stored divisors of x are the nodes
-holding no item outside x. Only when the earliest multiple head is not the
-first head are the divisors walked up to their heads, until one is older
-than it. The deepest multiple is found by ANDing the multiples with the
-depth masks, deepest first, and the mask it is found in gives the new
-node's depth. A new head adopts the heads among the divisors; any other
+holding no item outside x. A birth-indexed head list holds the birth of
+each node's head, so which head holds a node is one lookup: only when the
+earliest multiple head is not the first head are the divisors' heads
+looked up, until one is older than it. The deepest multiple is found by
+ANDing the multiples with the depth masks, deepest first, skipping those
+under other heads, and the mask it is found in gives the new node's
+depth. A new head adopts the heads among the divisors; any other
 parent's children are tested one by one, and each adopted subtree moves one
 mask down. A node's depth only grows, when its subtree is adopted, and never
 passes the item count of its head, so over a build each node moves down at
@@ -111,15 +113,16 @@ class PCTree:
     """Prime-coded transaction tree built in one pass over a database.
 
     The tree is meant to be fully built before it is queried; insert() must
-    not run alongside anything else. The item rows and the depth masks
+    not run alongside anything else. The item rows, the depth masks
     (_levels[d] has bit b set when the node born b is d edges below the
-    root, so _levels[0] is the root and _levels[1] the heads) are kept up
-    to date by insert() itself; only the count weight planes are built
-    lazily, by the first support() after an insert(), into a local that is
-    published with one attribute store, so first queries racing on a fresh
-    tree at worst build them twice and always read complete planes. After
-    that, support(), walk_support() and the frequency table are plain reads,
-    so concurrent queries are safe.
+    root, so _levels[0] is the root and _levels[1] the heads) and the head
+    list (_heads[b] is the birth of the head above or at the node born b,
+    and 0 for the root) are kept up to date by insert() itself; only the
+    count weight planes are built lazily, by the first support() after an
+    insert(), into a local that is published with one attribute store, so
+    first queries racing on a fresh tree at worst build them twice and
+    always read complete planes. After that, support(), walk_support() and
+    the frequency table are plain reads, so concurrent queries are safe.
     """
 
     def __init__(self, prime_table: PrimeTable):
@@ -132,6 +135,7 @@ class PCTree:
         self._nodes = [self.root]  # by birth
         self._rows: dict[int, int] = {}  # item -> bit b set when the node born b holds it
         self._levels = [1]  # depth d -> bit b set when the node born b is d edges deep
+        self._heads = [0]  # by birth: the birth of the node's head
         self._planes: tuple[int, ...] | None = None  # count weight planes, by birth
 
     @property
@@ -184,6 +188,8 @@ class PCTree:
         siblings.append(node)
         self._node_by_value[value] = node
         self._nodes.append(node)
+        head = self._heads[parent.birth] or birth  # the root's entry is 0
+        self._heads.append(head)
         bit = 1 << birth
         rows = self._rows
         for item in x:
@@ -191,12 +197,15 @@ class PCTree:
         levels = self._levels
         if whole_tree:  # the root keeps one child: everything else moves down
             levels.insert(1, bit)
+            self._heads = [0] + [birth] * birth
             return
         depth += 1  # the new node's
         levels.append(0)  # room one level below the deepest node; dropped if unused
         levels[depth] |= bit
         layer = moved
         while layer:  # the adopted subtrees move down, one level at a time
+            for child in layer:  # and join the new node's head
+                self._heads[child.birth] = head
             moving = sum(1 << child.birth for child in layer)
             levels[depth] ^= moving
             depth += 1
@@ -220,26 +229,11 @@ class PCTree:
         if earliest < 0 or nodes[earliest] is not root.children[0]:
             outside = reduce(or_, map(rows.__getitem__, rows.keys() - set(x)), 0)
             divisors = ((1 << len(nodes)) - 2) & ~outside  # bit 0 is the root
-            if earliest < 0 or self._divisor_under_older_head(divisors, earliest):
+            older = map(earliest.__gt__, map(self._heads.__getitem__, _bit_positions(divisors)))
+            if earliest < 0 or any(older):
                 return root, 0, [nodes[b] for b in _bit_positions(divisors & heads)]
         parent, depth = self._deepest_multiple(contain, earliest)
         return parent, depth, [c for c in parent.children if value % c.value == 0]
-
-    def _divisor_under_older_head(self, divisors: int, birth: int) -> bool:
-        """Whether a node of divisors sits in the subtree of a head born before birth.
-
-        Each divisor is walked up to its head, and a walk stops early at a
-        node an earlier walk passed through, whose head has been checked.
-        So every node is walked at most once.
-        """
-        root, seen = self.root, set()
-        for node in map(self._nodes.__getitem__, _bit_positions(divisors)):
-            while node.parent is not root and node not in seen:
-                seen.add(node)
-                node = node.parent
-            if node.parent is root and node.birth < birth:
-                return True
-        return False
 
     def _deepest_multiple(self, contain: int, head_birth: int) -> tuple[PCNode, int]:
         """Deepest node of contain under the head born head_birth, and its depth.
@@ -250,17 +244,14 @@ class PCTree:
         holds a multiple under it. The oldest wins ties. Multiples under
         other heads are skipped.
         """
-        root, nodes, levels = self.root, self._nodes, self._levels
+        nodes, levels, heads = self._nodes, self._levels, self._heads
         for depth in range(len(levels) - 1, 1, -1):
             found = contain & levels[depth]
             while found:
-                low = found & -found
-                node = top = nodes[low.bit_length() - 1]
-                while top.parent is not root:
-                    top = top.parent
-                if top.birth == head_birth:
-                    return node, depth
-                found ^= low
+                b = (found & -found).bit_length() - 1
+                if heads[b] == head_birth:
+                    return nodes[b], depth
+                found ^= 1 << b
         return nodes[head_birth], 1
 
     def heads(self) -> tuple[int, ...]:
@@ -319,25 +310,27 @@ class PCTree:
         """Check tree invariants; returns one message per violation, empty when sound.
 
         The structural checks (counts, divisibility chains, children in
-        ascending birth order, tree-wide value uniqueness, the birth lookup
-        and the level masks) are linear in the tree. deep=True additionally
-        cross-checks every node's cached factor set, rebuilds the item rows
-        from the nodes' items and compares them, and checks the item
-        frequency table against both support() and walk_support(). Once
-        the factor sets match the values, walk_support() of an item's prime
-        sums the local counts of the nodes holding the item, so one pass
-        tallies it for every item at once.
+        ascending birth order, tree-wide value uniqueness, the birth lookup,
+        the level masks and the head list) are linear in the tree.
+        deep=True additionally cross-checks every node's cached factor set,
+        rebuilds the item rows from the nodes' items and compares them, and
+        checks the item frequency table against both support() and
+        walk_support(). Once the factor sets match the values,
+        walk_support() of an item's prime sums the local counts of the nodes
+        holding the item, so one pass tallies it for every item at once.
         """
         problems = []
         seen: dict[int, PCNode] = {}
         local_sum = 0
         by_depth: list[list[int]] = []
-        stack: list[tuple[PCNode, int]] = [(self.root, 0)]
+        head_of: dict[int, int] = {}  # birth -> its head's birth, as the shape says
+        stack: list[tuple[PCNode, int, int]] = [(self.root, 0, 0)]
         while stack:
-            node, depth = stack.pop()
+            node, depth, head = stack.pop()
             if depth == len(by_depth):
                 by_depth.append([])
             by_depth[depth].append(node.birth)
+            head_of[node.birth] = head
             last_birth = 0  # below every node's birth
             for child in node.children:
                 if child.parent is not node:
@@ -345,7 +338,7 @@ class PCTree:
                 if child.birth <= last_birth:
                     problems.append(f"node {child.value}: out of birth order among its siblings")
                 last_birth = child.birth
-                stack.append((child, depth + 1))
+                stack.append((child, depth + 1, head or child.birth))  # a head is its own
             if node is self.root:
                 continue
             if node.local_count < 1:
@@ -369,6 +362,8 @@ class PCTree:
             )
         if self._levels != [_mask(births) for births in by_depth]:
             problems.append("level masks disagree with the nodes' depths")
+        if dict(enumerate(self._heads)) != head_of:
+            problems.append("head list disagrees with the tree shape")
         if deep:
             births: dict[int, list[int]] = {}
             walked: Counter[int] = Counter()

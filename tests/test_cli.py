@@ -199,6 +199,24 @@ def test_bench_rerun_matches_on_everything_but_runtime(tmp_path, capsys):
     assert snapshots[0] == snapshots[1]
 
 
+@pytest.mark.parametrize("argv, shown", [
+    (["mine", "--min-sup"], "min_sup: 1\n"),
+    (["compare", "--min-sup"], " at min_sup 1 "),
+    (["bench", "--sigmas"], "\ndemo8.dat,pcminer,1,"),
+])
+def test_a_zero_threshold_is_shown_as_the_one_enforced(capsys, argv, shown):
+    def report(out):  # bench's runtime column varies like the time_* lines
+        return [l.rsplit(",", 1)[0] if argv[0] == "bench" else l for l in stable_lines(out)]
+
+    with pytest.warns(UserWarning, match="support threshold 0 treated as 1") as warned:
+        code, out, _ = run(capsys, *argv, "0", "--input", DEMO)
+    assert code == EXIT_OK
+    assert len(warned) == 1
+    assert shown in out
+    _, at_one, _ = run(capsys, *argv, "1", "--input", DEMO)
+    assert report(out) == report(at_one)
+
+
 def test_bench_stdout_when_no_stats_out(capsys):
     code, out, _ = run(capsys, "bench", "--input", DEMO, "--sigmas", "4", "--algo", "brute")
     assert code == EXIT_OK

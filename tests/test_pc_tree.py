@@ -211,6 +211,14 @@ def test_validate_catches_a_node_on_the_wrong_level(demo_tree, value, to_depth):
     assert "level masks disagree with the nodes' depths" in demo_tree.validate(deep=False)
 
 
+@pytest.mark.parametrize("value, head", [(910, 2310), (2730, None)])
+def test_validate_catches_a_wrong_head_list_entry(demo_tree, value, head):
+    # points a depth-2 node of head 2730 at head 2310, or a head at the root
+    nodes = demo_tree._node_by_value
+    demo_tree._heads[nodes[value].birth] = 0 if head is None else nodes[head].birth
+    assert "head list disagrees with the tree shape" in demo_tree.validate(deep=False)
+
+
 def test_validate_catches_a_stale_birth_lookup(demo_tree):
     nodes = demo_tree._nodes
     nodes[1], nodes[2] = nodes[2], nodes[1]
