@@ -4,8 +4,9 @@ Exit codes: 0 on success (and on EQUAL for compare), 1 when compare finds a
 semantic difference or a miner refuses the input, 2 on usage and parse errors,
 141 (128 + SIGPIPE, what a shell shows for a writer killed by a closed pipe)
 when the reader of stdout goes away first, as `pcmine mine ... | head -1`
-does; that exit prints nothing. All output except the time_* lines is
-byte-identical across reruns.
+does; that exit prints nothing. A library warning, such as a threshold of 0
+or a skipped blank line, is one `warning: <message>` line on stderr. All
+output except the time_* lines is byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from math import ceil
 from pathlib import Path
@@ -231,21 +233,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """warnings.showwarning for the CLI: the message alone, with no source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except BrokenPipeError:
-        # Nobody reads stdout any more; point it at devnull so that the
-        # flush at interpreter exit does not fail on the closed pipe again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
-    except baselines.UniverseTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except (dataset_io.TransactionParseError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except BrokenPipeError:
+            # Nobody reads stdout any more; point it at devnull so that the
+            # flush at interpreter exit does not fail on the closed pipe again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_BROKEN_PIPE
+        except baselines.UniverseTooLargeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_MISMATCH
+        except (dataset_io.TransactionParseError, OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -5,12 +5,10 @@ value. Every child's value divides its parent's value, so each root-to-leaf
 path is a strictly descending divisibility chain and the root's children, the
 heads, are the values nothing inserted so far fits under.
 
-A repeated transaction only bumps its node's count, so placement depends only
-on the order in which distinct values first arrive. build_tree() therefore
-reads the database's tally, TransactionDB.tally(), in order of first
-occurrence and inserts each distinct itemset once, with its multiplicity as
-the count: the same tree as one insert per row, with one placement search per
-distinct value.
+A repeated transaction only bumps its node's count, so build_tree() inserts
+each distinct itemset of TransactionDB.tally() once, in order of first
+occurrence, with its multiplicity as the count: the same tree as one insert
+per row, with one placement search per distinct value.
 
 A new value goes into the first head's subtree, in creation order, that
 holds a multiple or a divisor of it, below the deepest multiple there; it
@@ -18,19 +16,19 @@ becomes a new head when that subtree holds only divisors of it, or when no
 subtree holds either. It then adopts the children of its new parent that
 divide it. The tree keeps a vertical index over its nodes, in the manner of
 MAFIA's vertical bitmaps (Burdick et al., ICDE 2001): one bit row per item,
-with bit b set when the node born b holds the item, and one bit mask per
-depth, with bit b set when the node born b is that many edges below the
-root, so the depth-1 mask is the heads. insert() keeps them current and
-places the value from them, for a transaction of any length: the multiples
-of itemset x are the nodes holding all of x's items, the heads among them
-are an AND with the depth-1 mask, and the stored divisors of x are the nodes
-holding no item outside x. A birth-indexed head list holds the birth of
-each node's head, so which head holds a node is one lookup: only when the
-earliest multiple head is not the first head are the divisors' heads
-looked up, until one is older than it. The deepest multiple is found by
-ANDing the multiples with the depth masks, deepest first, skipping those
-under other heads, and the mask it is found in gives the new node's
-depth. A new head adopts the heads among the divisors; any other
+with bit b set when the node born b holds the item, and one count per bit.
+It adds one bit mask per depth, with bit b set when the node born b is that
+many edges below the root, so the depth-1 mask is the heads. insert() keeps
+them current and places the value from them, for a transaction of any
+length: the multiples of itemset x are the nodes holding all of x's items,
+the heads among them are an AND with the depth-1 mask, and the stored
+divisors of x are the nodes holding no item outside x. A birth-indexed head
+list holds the birth of each node's head, so which head holds a node is one
+lookup: only when the earliest multiple head is not the first head are the
+divisors' heads looked up, until one is older than it. The deepest multiple
+is found by ANDing the multiples with the depth masks, deepest first,
+skipping those under other heads, and the mask it is found in gives the new
+node's depth. A new head adopts the heads among the divisors; any other
 parent's children are tested one by one, and each adopted subtree moves one
 mask down. A node's depth only grows, when its subtree is adopted, and never
 passes the item count of its head, so over a build each node moves down at
@@ -40,19 +38,21 @@ children list in ascending birth (creation) order, which holds because new
 nodes are appended and adopted ones deleted in place; validate() checks
 that, the rows and the masks.
 
-support() takes an itemset and answers from the same rows, with no prime
+Counts live in the index alone: a node's count is the one at its birth, the
+root is bit 0 as the empty itemset counting 0, and the item frequencies and
+the transaction count are read from the index. Bit b is the b-th distinct
+transaction in first-occurrence order, the order of TransactionDB.tally(),
+so the same index can be built from the tally alone, with no placement.
+support() takes an itemset and answers from the index, with no prime
 arithmetic: an AND of its items' rows selects the nodes that hold them all,
-one popcount counts them, and their local counts' excess over 1, split into
+one popcount counts them, and their counts' excess over 1, split into
 binary weight planes, adds one popcount per plane. Most nodes of a sparse
 database count 1, so its trees have few planes or none. The paper's own
 query, walk_support(), takes a prime-coded value and stays as the reference
-oracle: it sums local counts over nodes the query value divides, skipping a
+oracle: it sums the counts of the nodes the query value divides, skipping a
 whole subtree as soon as its top value fails the test, since descendant
-values divide their ancestors' and non-divisibility propagates all the way
-down.
-
-The paper's per-node global count (the local counts summed along the root
-path) is not stored, because neither support() nor walk_support() reads it.
+values divide their ancestors'. The paper's per-node global count (the
+counts summed along the root path) is not stored; neither query reads it.
 """
 
 from __future__ import annotations
@@ -71,18 +71,16 @@ from .prime_codec import Itemset, PrimeTable, as_itemset, build_prime_table, enc
 class PCNode:
     """One distinct transaction value and where it sits in the tree."""
 
-    __slots__ = ("value", "items", "local_count", "children", "parent", "birth")
+    __slots__ = ("value", "items", "children", "birth")
 
-    def __init__(self, value, items, birth, parent=None, local_count=1):
+    def __init__(self, value, items, birth):
         self.value = value
         self.items = items  # cached factorization of value; must stay in agreement
-        self.local_count = local_count
         self.children: list[PCNode] = []
-        self.parent = parent
-        self.birth = birth  # creation index; breaks placement ties deterministically
+        self.birth = birth  # creation index and index bit; breaks placement ties
 
     def __repr__(self):
-        return f"PCNode({self.value}, local={self.local_count})"
+        return f"PCNode({self.value}, birth={self.birth})"
 
 
 def _bit_positions(mask: int) -> Iterator[int]:
@@ -96,10 +94,7 @@ def _bit_positions(mask: int) -> Iterator[int]:
 
 
 def _mask(positions: Iterable[int]) -> int:
-    """The int with exactly the given bits set, built in time linear in its size.
-
-    OR-ing bits into a big int one at a time would copy it each time.
-    """
+    """The int with the given bits set, in linear time (an OR per bit would copy it)."""
     buffer = bytearray()
     for position in positions:
         byte = position >> 3
@@ -109,56 +104,108 @@ def _mask(positions: Iterable[int]) -> int:
     return int.from_bytes(buffer, "little")
 
 
+class VerticalIndex:
+    """Item rows and one count per bit over itemsets added in turn.
+
+    rows[item] has bit b set when the b-th itemset added holds item, and
+    counts[b] is the number of transactions that itemset stands for, at
+    least 1 when it has an item. The first support() after a change builds
+    the count weight planes (bit b of plane j is bit j of counts[b] - 1) and
+    publishes them with one store, so racing queries at worst build twice.
+    """
+
+    __slots__ = ("rows", "counts", "_planes")
+
+    def __init__(self):
+        self.rows: dict[int, int] = {}
+        self.counts: list[int] = []
+        self._planes: tuple[int, ...] | None = None
+
+    def add(self, items: Iterable[int], count: int) -> int:
+        """Give itemset items, standing for count transactions, the next bit; return it."""
+        bit = len(self.counts)
+        self.counts.append(count)
+        self._planes = None
+        mask, rows = 1 << bit, self.rows
+        for item in items:
+            rows[item] = rows.get(item, 0) | mask
+        return bit
+
+    def bump(self, bit: int, count: int) -> None:
+        """Count count more transactions for the itemset at bit."""
+        self.counts[bit] += count
+        self._planes = None
+
+    def support(self, items: Iterable[int]) -> int:
+        """Number of transactions that contain every one of items, or all for none.
+
+        An item that no row holds gives 0, and a repeated item counts once.
+        """
+        planes = self._planes
+        if planes is None:
+            excess = [max(count - 1, 0) for count in self.counts]  # an empty itemset may count 0
+            planes = self._planes = tuple(
+                _mask(b for b, e in enumerate(excess) if e >> j & 1)
+                for j in range(max(excess, default=0).bit_length()))
+        rows = self.rows
+        hit = -1  # every bit; an item no row holds clears it
+        for item in items:
+            hit &= rows.get(item, 0)
+        if hit < 0:  # no items, so no row narrowed it
+            return sum(self.counts)
+        total = hit.bit_count()
+        for j, plane in enumerate(planes):
+            total += (hit & plane).bit_count() << j
+        return total
+
+
 class PCTree:
     """Prime-coded transaction tree built in one pass over a database.
 
     The tree is meant to be fully built before it is queried; insert() must
-    not run alongside anything else. The item rows, the depth masks
-    (_levels[d] has bit b set when the node born b is d edges below the
-    root, so _levels[0] is the root and _levels[1] the heads) and the head
-    list (_heads[b] is the birth of the head above or at the node born b,
-    and 0 for the root) are kept up to date by insert() itself; only the
-    count weight planes are built lazily, by the first support() after an
-    insert(), into a local that is published with one attribute store, so
-    first queries racing on a fresh tree at worst build them twice and
-    always read complete planes. After that, support(), walk_support() and
-    the frequency table are plain reads, so concurrent queries are safe.
+    not run alongside anything else. _levels[d] has bit b set when the node
+    born b is d edges below the root (_levels[1] is the heads), and
+    _heads[b] is the birth of the head above or at the node born b (0 for
+    the root). Once the index's planes are built, every query is a plain
+    read, so concurrent queries are safe.
     """
 
     def __init__(self, prime_table: PrimeTable):
         self.prime_table = prime_table
         self.root = PCNode(None, (), birth=0)
-        self.root.local_count = 0
-        self.frequency_table: dict[int, int] = dict.fromkeys(prime_table.item_ids, 0)
-        self.transaction_count = 0
+        self.index = VerticalIndex()
+        self.index.add((), 0)  # the root, so that bit b is the node born b
         self._node_by_value: dict[int, PCNode] = {}
         self._nodes = [self.root]  # by birth
-        self._rows: dict[int, int] = {}  # item -> bit b set when the node born b holds it
         self._levels = [1]  # depth d -> bit b set when the node born b is d edges deep
         self._heads = [0]  # by birth: the birth of the node's head
-        self._planes: tuple[int, ...] | None = None  # count weight planes, by birth
 
     @property
     def node_count(self) -> int:
         """Number of distinct transaction values stored."""
         return len(self._node_by_value)
 
+    @property
+    def transaction_count(self) -> int:
+        """Number of ingested transactions."""
+        return sum(self.index.counts)
+
+    @property
+    def frequency_table(self) -> dict[int, int]:
+        """Each item of the prime table with the number of transactions holding it."""
+        return {item: self.index.support((item,)) for item in self.prime_table.item_ids}
+
     def insert(self, items: Iterable[int], count: int = 1) -> None:
         """Ingest count copies of one transaction (count >= 1).
 
-        The copies count everywhere a single insert would count once: in the
-        node's local count, the frequency table and transaction_count.
-        Inserting a value once with count n gives the same tree as n single
-        inserts in a row, since only the first of those places a node.
-
-        A value already present anywhere in the tree only bumps that node's
-        local count (values are unique tree-wide). Otherwise the value lands
-        in the first root subtree, in creation order, that it is comparable
-        with: below the deepest node there that it divides, or as a new head
-        when that subtree only holds divisors of it. No comparable subtree
-        at all also makes it a new head. It then adopts the children of its
-        new parent that divide it (this is how a new superset replaces a
-        head).
+        The same tree as count single inserts, since only the first places a
+        node: a value already in the tree (values are unique tree-wide) only
+        bumps its node's count. A new value lands in the first root subtree,
+        in creation order, that it is comparable with: below the deepest
+        node there that it divides, or as a new head when that subtree only
+        holds divisors of it or none is comparable. It then adopts the
+        children of its new parent that divide it, as a new superset of a
+        head does the head.
         """
         if count < 1:
             raise ValueError(f"a transaction is inserted at least once, got count {count}")
@@ -166,23 +213,17 @@ class PCTree:
         if not x:
             raise ValueError("empty transactions carry no pattern information")
         value = encode(x, self.prime_table)
-        for item in x:
-            self.frequency_table[item] += count
-        self.transaction_count += count
-        self._planes = None
-
         node = self._node_by_value.get(value)
         if node is not None:
-            node.local_count += count
+            self.index.bump(node.birth, count)
             return
 
         parent, depth, moved = self._place(x, value)
-        birth = len(self._nodes)
-        node = PCNode(value, x, birth=birth, parent=parent, local_count=count)
+        birth = self.index.add(x, count)
+        node = PCNode(value, x, birth)
         siblings = parent.children
         whole_tree = parent is self.root and len(moved) == len(siblings)
         for child in moved:  # ascending birth, like siblings
-            child.parent = node
             del siblings[bisect_left(siblings, child.birth, key=attrgetter("birth"))]
         node.children = moved
         siblings.append(node)
@@ -191,9 +232,6 @@ class PCTree:
         head = self._heads[parent.birth] or birth  # the root's entry is 0
         self._heads.append(head)
         bit = 1 << birth
-        rows = self._rows
-        for item in x:
-            rows[item] = rows.get(item, 0) | bit
         levels = self._levels
         if whole_tree:  # the root keeps one child: everything else moves down
             levels.insert(1, bit)
@@ -221,7 +259,7 @@ class PCTree:
         head holds a divisor; with no such multiple, the value is a new head,
         under the root at depth 0.
         """
-        root, rows, levels, nodes = self.root, self._rows, self._levels, self._nodes
+        root, rows, levels, nodes = self.root, self.index.rows, self._levels, self._nodes
         heads = levels[1] if len(levels) > 1 else 0
         contain = reduce(and_, map(rows.get, x, repeat(0)))  # every multiple of value
         multiples = contain & heads
@@ -238,11 +276,10 @@ class PCTree:
     def _deepest_multiple(self, contain: int, head_birth: int) -> tuple[PCNode, int]:
         """Deepest node of contain under the head born head_birth, and its depth.
 
-        contain holds every multiple of the new value. Every ancestor of a
-        multiple is one, so the levels are scanned from the deepest up to
-        level 2, and the head itself, at depth 1, wins when none of them
-        holds a multiple under it. The oldest wins ties. Multiples under
-        other heads are skipped.
+        contain holds every multiple of the new value, and every ancestor of
+        a multiple is one, so the levels are scanned from the deepest up to
+        level 2, oldest first, skipping multiples under other heads; the head
+        itself, at depth 1, wins when none is found.
         """
         nodes, levels, heads = self._nodes, self._levels, self._heads
         for depth in range(len(levels) - 1, 1, -1):
@@ -259,34 +296,8 @@ class PCTree:
         return tuple(child.value for child in self.root.children)
 
     def support(self, items: Iterable[int]) -> int:
-        """Number of ingested transactions that contain every one of items.
-
-        An AND of the items' rows selects the nodes holding all of them, and
-        the total is the popcount of that selection plus the nodes' count
-        excesses, split into binary weight planes (bit b of plane j is bit j
-        of local_count - 1 of the node born b; the root is in no plane) and
-        summed as one popcount per plane. A tree with no count above 1 has
-        no plane. The planes are built on the first query after an insert.
-        An item that no node holds gives 0, a repeated item counts once, and
-        the empty itemset gives transaction_count.
-        """
-        planes = self._planes
-        if planes is None:
-            excess = [node.local_count - 1 for node in self._nodes]
-            excess[0] = 0  # the root is in no plane
-            planes = self._planes = tuple(
-                _mask(b for b, e in enumerate(excess) if e >> j & 1)
-                for j in range(max(excess).bit_length()))
-        rows = self._rows
-        hit = -1  # every node; an item no node holds clears it
-        for item in items:
-            hit &= rows.get(item, 0)
-        if hit < 0:  # no items, so no row narrowed it
-            return self.transaction_count
-        total = hit.bit_count()
-        for j, plane in enumerate(planes):
-            total += (hit & plane).bit_count() << j
-        return total
+        """Number of ingested transactions that contain every one of items."""
+        return self.index.support(items)
 
     def walk_support(self, value: int) -> int:
         """The paper's subtree-pruned tree walk over the nodes value divides.
@@ -296,12 +307,13 @@ class PCTree:
         """
         if value < 1:
             raise ValueError(f"transaction values are positive, got {value}")
+        counts = self.index.counts
         total = 0
         stack = list(self.root.children)
         while stack:
             node = stack.pop()
             if node.value % value == 0:
-                total += node.local_count
+                total += counts[node.birth]
                 stack.extend(node.children)
             # otherwise no descendant can be a multiple either: skip the branch
         return total
@@ -309,57 +321,47 @@ class PCTree:
     def validate(self, deep: bool = True) -> list[str]:
         """Check tree invariants; returns one message per violation, empty when sound.
 
-        The structural checks (counts, divisibility chains, children in
-        ascending birth order, tree-wide value uniqueness, the birth lookup,
-        the level masks and the head list) are linear in the tree.
-        deep=True additionally cross-checks every node's cached factor set,
-        rebuilds the item rows from the nodes' items and compares them, and
-        checks the item frequency table against both support() and
-        walk_support(). Once the factor sets match the values,
-        walk_support() of an item's prime sums the local counts of the nodes
-        holding the item, so one pass tallies it for every item at once.
+        The structural checks (counts of at least 1, divisibility chains,
+        children in ascending birth order, tree-wide value uniqueness, the
+        birth lookup, the level masks and the head list) are linear in the
+        tree. deep=True also checks every node's cached factor set, the item
+        rows rebuilt from them, and each item's support() against a tally of
+        the counts of the nodes holding it, which is what walk_support() of
+        the item's prime sums once the factor sets match the values.
         """
         problems = []
-        seen: dict[int, PCNode] = {}
-        local_sum = 0
+        counts = self.index.counts
+        seen: set[int] = set()
         by_depth: list[list[int]] = []
         head_of: dict[int, int] = {}  # birth -> its head's birth, as the shape says
-        stack: list[tuple[PCNode, int, int]] = [(self.root, 0, 0)]
+        stack: list[tuple[PCNode, int, int, int | None]] = [(self.root, 0, 0, None)]
         while stack:
-            node, depth, head = stack.pop()
+            node, depth, head, above = stack.pop()  # above is the parent's value
             if depth == len(by_depth):
                 by_depth.append([])
             by_depth[depth].append(node.birth)
             head_of[node.birth] = head
             last_birth = 0  # below every node's birth
             for child in node.children:
-                if child.parent is not node:
-                    problems.append(f"node {child.value}: parent link does not match tree shape")
                 if child.birth <= last_birth:
                     problems.append(f"node {child.value}: out of birth order among its siblings")
                 last_birth = child.birth
-                stack.append((child, depth + 1, head or child.birth))  # a head is its own
+                stack.append((child, depth + 1, head or child.birth, node.value))
             if node is self.root:
                 continue
-            if node.local_count < 1:
-                problems.append(f"node {node.value}: local_count {node.local_count} < 1")
-            local_sum += node.local_count
+            if above is not None:
+                if above % node.value != 0:
+                    problems.append(f"node {node.value} does not divide its parent {above}")
+                elif node.value >= above:
+                    problems.append(f"node {node.value} is not strictly below parent {above}")
             if node.birth >= len(self._nodes) or self._nodes[node.birth] is not node:
                 problems.append(f"node {node.value}: not found under its birth {node.birth}")
-            parent = node.parent
-            if parent is not self.root:
-                if parent.value % node.value != 0:
-                    problems.append(f"node {node.value} does not divide its parent {parent.value}")
-                elif node.value >= parent.value:
-                    problems.append(f"node {node.value} is not strictly below parent {parent.value}")
+            elif counts[node.birth] < 1:
+                problems.append(f"node {node.value}: count {counts[node.birth]} < 1")
             if node.value in seen:
                 problems.append(f"value {node.value} is stored in two nodes")
             else:
-                seen[node.value] = node
-        if local_sum != self.transaction_count:
-            problems.append(
-                f"local counts sum to {local_sum}, expected {self.transaction_count}"
-            )
+                seen.add(node.value)
         if self._levels != [_mask(births) for births in by_depth]:
             problems.append("level masks disagree with the nodes' depths")
         if dict(enumerate(self._heads)) != head_of:
@@ -367,24 +369,23 @@ class PCTree:
         if deep:
             births: dict[int, list[int]] = {}
             walked: Counter[int] = Counter()
-            for node in seen.values():
+            for node in self._nodes[1:]:
                 if encode(node.items, self.prime_table) != node.value:
                     problems.append(
                         f"node {node.value}: cached items {node.items} disagree with the value"
                     )
                 for item in node.items:
                     births.setdefault(item, []).append(node.birth)
-                    walked[item] += node.local_count
-            for item in births.keys() | self._rows.keys():
-                if self._rows.get(item, 0) != _mask(births.get(item, ())):
+                    walked[item] += counts[node.birth]
+            rows = self.index.rows
+            for item in births.keys() | rows.keys():
+                if rows.get(item, 0) != _mask(births.get(item, ())):
                     problems.append(f"item {item}: bit row disagrees with the nodes holding it")
-            for item, count in self.frequency_table.items():
-                for oracle, got in (("support", self.support((item,))),
-                                    ("walk_support", walked[item])):
-                    if got != count:
-                        problems.append(
-                            f"item {item}: frequency table says {count}, {oracle}() says {got}"
-                        )
+            for item in self.prime_table.item_ids:
+                if (got := self.index.support((item,))) != walked[item]:
+                    problems.append(
+                        f"item {item}: support() says {got}, walk_support() says {walked[item]}"
+                    )
         return problems
 
 
@@ -392,9 +393,8 @@ def build_tree(db: TransactionDB) -> PCTree:
     """One-pass tree construction over a whole database.
 
     Each distinct itemset of db.tally() is inserted once with its
-    multiplicity, in order of first occurrence. Placement depends only on
-    the order in which distinct values first arrive, and a repeat only bumps
-    a count, so the tree is the same as one insert per row.
+    multiplicity, in order of first occurrence: a repeat only bumps a
+    count, so the tree is the same as one insert per row.
     """
     tree = PCTree(build_prime_table(db.universe))
     for items, count in db.tally().items():

@@ -208,13 +208,21 @@ def test_a_zero_threshold_is_shown_as_the_one_enforced(capsys, argv, shown):
     def report(out):  # bench's runtime column varies like the time_* lines
         return [l.rsplit(",", 1)[0] if argv[0] == "bench" else l for l in stable_lines(out)]
 
-    with pytest.warns(UserWarning, match="support threshold 0 treated as 1") as warned:
-        code, out, _ = run(capsys, *argv, "0", "--input", DEMO)
+    code, out, err = run(capsys, *argv, "0", "--input", DEMO)
     assert code == EXIT_OK
-    assert len(warned) == 1
+    assert err == "warning: support threshold 0 treated as 1\n"  # exactly once, no source line
     assert shown in out
     _, at_one, _ = run(capsys, *argv, "1", "--input", DEMO)
     assert report(out) == report(at_one)
+
+
+def test_a_skipped_blank_line_is_one_warning_line(tmp_path, capsys):
+    path = tmp_path / "blank.dat"
+    path.write_text("1 2\n\n3\n")
+    code, out, err = run(capsys, "mine", "--input", str(path))
+    assert code == EXIT_OK
+    assert err == f"warning: {path}: skipped 1 empty transaction line(s)\n"
+    assert "dataset: blank.dat (2 transactions, 3 items)\n" in out
 
 
 def test_bench_stdout_when_no_stats_out(capsys):

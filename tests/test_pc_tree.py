@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from pcmine.baselines import TransactionDB, apriori_mine
 from pcmine.dataset_io import SyntheticSpec, generate_synthetic
 from pcmine.pc_miner import mine
-from pcmine.pc_tree import PCNode, PCTree, build_tree
+from pcmine.pc_tree import PCNode, PCTree, VerticalIndex, build_tree
 from pcmine.prime_codec import build_prime_table, encode
 
 A, B, C, D, E, F = range(6)
@@ -34,11 +34,11 @@ def test_demo_tree_shape(demo_tree):
     assert demo_tree.heads() == (2310, 2730)
     assert demo_tree.node_count == 7
     assert demo_tree.transaction_count == 8
-    n455 = demo_tree._node_by_value[455]
-    assert n455.local_count == 2
+    nodes = demo_tree._node_by_value
+    assert demo_tree.index.counts[nodes[455].birth] == 2
     # 910 arrived between 2730 and the earlier 455 and took 455 as its child
-    assert n455.parent.value == 910
-    assert n455.parent.parent.value == 2730
+    assert nodes[455] in nodes[910].children
+    assert nodes[910] in nodes[2730].children
 
 
 def test_demo_item_frequencies(demo_tree):
@@ -63,7 +63,7 @@ def test_duplicate_insert_bumps_local_count():
     tree.insert((C, D, F))
     tree.insert((C, D, F))
     assert tree.node_count == 1
-    assert tree._node_by_value[455].local_count == 2
+    assert tree.index.counts[tree._node_by_value[455].birth] == 2
     assert tree.transaction_count == 2
     assert tree.validate() == []
 
@@ -73,8 +73,7 @@ def test_head_replacement():
     tree.insert((A, B, E))          # 66
     tree.insert((A, B, C, D, E))    # 2310 must become the new head
     assert tree.heads() == (2310,)
-    n66 = tree._node_by_value[66]
-    assert n66.parent.value == 2310
+    assert tree._node_by_value[2310].children == [tree._node_by_value[66]]
     assert tree.validate() == []
 
 
@@ -90,8 +89,8 @@ def test_counted_insert_counts_every_copy():
     tree.insert((A, C, D, F), count=2)
     tree.insert((C, D, F), count=4)
     n455, n910 = tree._node_by_value[455], tree._node_by_value[910]
-    assert (n455.local_count, n910.local_count) == (7, 2)
-    assert n455.parent is n910
+    assert (tree.index.counts[n455.birth], tree.index.counts[n910.birth]) == (7, 2)
+    assert n910.children == [n455]
     assert tree.transaction_count == 9
     assert tree.frequency_table == {A: 2, B: 0, C: 9, D: 9, E: 0, F: 9}
     assert tree.validate() == []
@@ -134,14 +133,13 @@ def test_single_transaction_tree():
 
 
 def test_validate_catches_corrupt_local_count(demo_tree):
-    node = demo_tree._node_by_value[70]
-    node.local_count = 0
-    assert any("local_count" in p for p in demo_tree.validate())
+    demo_tree.index.counts[demo_tree._node_by_value[70].birth] = 0
+    assert "node 70: count 0 < 1" in demo_tree.validate(deep=False)
 
 
 def test_validate_catches_duplicate_value(demo_tree):
     head = demo_tree.root.children[0]
-    clone = PCNode(455, (C, D, F), birth=99, parent=head)
+    clone = PCNode(455, (C, D, F), birth=99)
     head.children.append(clone)
     problems = demo_tree.validate()
     assert any("two nodes" in p for p in problems)
@@ -151,12 +149,6 @@ def test_validate_catches_divisibility_break(demo_tree):
     node = demo_tree._node_by_value[70]
     node.value = 26  # not a divisor of its parent 770
     assert any("divide" in p for p in demo_tree.validate(deep=False))
-
-
-def test_validate_catches_a_parent_link_that_does_not_match_the_shape(demo_tree):
-    demo_tree._node_by_value[70].parent = demo_tree.root  # still a child of 770
-    problems = demo_tree.validate(deep=False)
-    assert "node 70: parent link does not match tree shape" in problems
 
 
 def test_validate_catches_a_node_equal_to_its_parent(demo_tree):
@@ -172,22 +164,9 @@ def test_validate_catches_cached_items_that_disagree_with_the_value(demo_tree):
     assert not any("cached items" in p for p in demo_tree.validate(deep=False))
 
 
-def test_validate_catches_stale_frequency_table(demo_tree):
-    demo_tree.frequency_table[A] += 1
-    assert any("frequency table" in p for p in demo_tree.validate())
-    assert demo_tree.validate(deep=False) == []  # shallow scope skips it
-
-
-def test_validate_checks_the_frequency_table_against_both_oracles(demo_tree):
-    demo_tree.frequency_table[A] += 1
-    problems = demo_tree.validate()
-    assert any(", support() says" in p for p in problems)
-    assert any(", walk_support() says" in p for p in problems)
-
-
 def test_validate_catches_a_node_missing_from_an_item_row(demo_tree):
     node = demo_tree._node_by_value[70]  # holds A, C and D
-    demo_tree._rows[C] &= ~(1 << node.birth)
+    demo_tree.index.rows[C] &= ~(1 << node.birth)
     problems = demo_tree.validate()
     assert f"item {C}: bit row disagrees with the nodes holding it" in problems
     assert demo_tree.validate(deep=False) == []  # shallow scope skips the rows
@@ -231,11 +210,6 @@ def test_validate_catches_children_out_of_birth_order(demo_tree):
     assert any("birth order" in p for p in demo_tree.validate(deep=False))
 
 
-def test_validate_catches_count_drift(demo_tree):
-    demo_tree.transaction_count += 1
-    assert any("sum" in p for p in demo_tree.validate(deep=False))
-
-
 # ------------------------------------------------------- support queries
 
 
@@ -255,7 +229,7 @@ SINGLE_ROWS = [(A,), (B, C), (D, E), (A, C, E), (F,), (A, B, C, D, E, F)]
 
 @pytest.mark.parametrize("copies", [1, 2, 3, 4, 5, 8, 9, 16, 17, 300])
 def test_count_excess_planes_answer_every_subset(copies):
-    # plane j holds bit j of local_count - 1, so a count c needs (c - 1).bit_length() planes
+    # plane j holds bit j of a count c - 1, so c needs (c - 1).bit_length() planes
     rows = [(B, C, D)] * copies + SINGLE_ROWS
     tree = build_tree(TransactionDB.from_itemsets(rows, universe=range(6)))
     table = tree.prime_table
@@ -263,13 +237,13 @@ def test_count_excess_planes_answer_every_subset(copies):
         for items in combinations(range(6), size):
             assert tree.support(items) == tree.walk_support(encode(items, table)) == count_oracle(
                 rows, items)
-    assert len(tree._planes) == (copies - 1).bit_length()
+    assert len(tree.index._planes) == (copies - 1).bit_length()
 
 
 def test_count_excess_planes_edge_cases():
     tree = build_tree(TransactionDB.from_itemsets(SINGLE_ROWS, universe=range(6)))
     assert tree.support((99,)) == tree.support((A, 99)) == 0
-    assert tree._planes == ()  # no repeated row: every query is one popcount
+    assert tree.index._planes == ()  # no repeated row: every query is one popcount
     assert tree.support(()) == tree.transaction_count == len(SINGLE_ROWS)
     assert tree.support((A,)) == 3
 
@@ -277,11 +251,11 @@ def test_count_excess_planes_edge_cases():
 def test_validate_catches_a_flipped_plane_bit(demo_tree):
     demo_tree.support(())  # builds the planes
     node = demo_tree._node_by_value[455]  # C, D and F, counted twice
-    first, *rest = demo_tree._planes
-    demo_tree._planes = (first ^ 1 << node.birth, *rest)
+    first, *rest = demo_tree.index._planes
+    demo_tree.index._planes = (first ^ 1 << node.birth, *rest)
     problems = demo_tree.validate()
-    assert f"item {C}: frequency table says 7, support() says 6" in problems
-    assert not any("walk_support() says" in p for p in problems)
+    assert f"item {C}: support() says 6, walk_support() says 7" in problems
+    assert demo_tree.validate(deep=False) == []  # shallow scope skips the planes
 
 
 @pytest.mark.parametrize("value, items", [
@@ -331,7 +305,7 @@ def test_deep_chain_builds_and_mines_like_apriori(order):
     assert tree.heads() == (encode(range(depth), tree.prime_table),)
     assert tree.validate() == []
     nodes = sorted(tree._node_by_value.values(), key=lambda n: len(n.items))  # k holds {0..k}
-    assert all(nodes[k].parent is nodes[k + 1] for k in range(depth - 1))
+    assert all(nodes[k + 1].children == [nodes[k]] for k in range(depth - 1))
     assert tree.support(()) == tree.walk_support(1) == depth
     sigma = depth - 8  # items 0..8 are frequent
     result = mine(tree, sigma)
@@ -445,9 +419,15 @@ def test_support_index_matches_walk_and_raw_count(db, data):
     assert tree.validate() == []
     table = tree.prime_table
     queries = data.draw(st.lists(st.sets(st.sampled_from(db.universe)), min_size=1, max_size=8))
+    # the same index from the tally alone, with no placement: the root, then each distinct row
+    index = VerticalIndex()
+    index.add((), 0)
+    for items, count in db.tally().items():
+        index.add(items, count)
+    assert (index.rows, index.counts) == (tree.index.rows, tree.index.counts)
     for items in queries:
-        assert tree.support(items) == tree.walk_support(encode(items, table)) == count_oracle(
-            db.itemsets(), items)
+        assert index.support(items) == tree.support(items) == tree.walk_support(
+            encode(items, table)) == count_oracle(db.itemsets(), items)
 
 
 @given(db=databases())
@@ -531,9 +511,15 @@ def reference_shape(db):
         for v, n in nodes.items()}
 
 
+def parents(tree):
+    """Each node's parent, read from the children lists."""
+    return {c: n for n in [tree.root, *tree._node_by_value.values()] for c in n.children}
+
+
 def tree_shape(tree):
+    parent, counts = parents(tree), tree.index.counts
     return tree.heads(), {
-        v: (n.parent.value, [c.value for c in n.children], n.local_count)
+        v: (parent[n].value, [c.value for c in n.children], counts[n.birth])
         for v, n in tree._node_by_value.items()}
 
 
@@ -606,7 +592,8 @@ def test_one_value_adopts_several_non_adjacent_heads():
 
 def full_shape(tree):
     """Everything insertion order can change: node placement, counts, births, tables."""
-    nodes = {v: (n.parent.value, [c.value for c in n.children], n.local_count, n.birth)
+    parent, counts = parents(tree), tree.index.counts
+    nodes = {v: (parent[n].value, [c.value for c in n.children], counts[n.birth], n.birth)
              for v, n in tree._node_by_value.items()}
     return tree.heads(), nodes, dict(tree.frequency_table), tree.transaction_count
 
