@@ -33,7 +33,7 @@ from itertools import chain, combinations
 from typing import Iterable
 
 from .baselines import effective_sigma
-from .pc_tree import PCTree
+from .pc_tree import PCTree, VerticalIndex
 from .prime_codec import Itemset
 # Not called here; bench/spans.py wraps pc_miner.decode and pc_miner.encode by name.
 from .prime_codec import decode, encode  # noqa: F401
@@ -65,24 +65,14 @@ def candidate_head(head: Itemset, frequencies: dict[int, int], sigma: int) -> It
 
 
 def _maximal_members(itemsets: Iterable[Itemset]) -> set[Itemset]:
-    # Largest first: a set can only be absorbed by a strictly larger one.
-    # Bit k of masks[item] is set when kept set k holds item, so the AND of
-    # a candidate's masks is the kept sets that contain it (all of them for
-    # the empty itemset).
-    masks: dict[int, int] = {}
-    kept: list[Itemset] = []
+    # Largest first: a set can only be absorbed by a strictly larger one. A
+    # vertical index of the kept sets names those that contain it; with none
+    # kept nothing absorbs, although supersets(()) is every bit.
+    index, kept = VerticalIndex(), []
     for its in sorted(set(itemsets), key=lambda t: (-len(t), t)):
-        hit = (1 << len(kept)) - 1
-        for item in its:
-            hit &= masks.get(item, 0)
-            if not hit:
-                break
-        if hit:
-            continue
-        bit = 1 << len(kept)
-        for item in its:
-            masks[item] = masks.get(item, 0) | bit
-        kept.append(its)
+        if not (kept and index.supersets(its)):
+            index.add(its, 1)
+            kept.append(its)
     return set(kept)
 
 

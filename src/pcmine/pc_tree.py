@@ -20,23 +20,26 @@ with bit b set when the node born b holds the item, and one count per bit.
 It adds one bit mask per depth, with bit b set when the node born b is that
 many edges below the root, so the depth-1 mask is the heads. insert() keeps
 them current and places the value from them, for a transaction of any
-length: the multiples of itemset x are the nodes holding all of x's items,
-the heads among them are an AND with the depth-1 mask, and the stored
-divisors of x are the nodes holding no item outside x. A birth-indexed head
-list holds the birth of each node's head, so which head holds a node is one
-lookup: only when the earliest multiple head is not the first head are the
-divisors' heads looked up, until one is older than it. The deepest multiple
-is found by ANDing the multiples with the depth masks, deepest first,
-skipping those under other heads, and the mask it is found in gives the new
-node's depth. A new head adopts the heads among the divisors; any other
-parent's children are tested one by one, and each adopted subtree moves one
-mask down. A node's depth only grows, when its subtree is adopted, and never
-passes the item count of its head, so over a build each node moves down at
-most (longest transaction) - 1 times, and the masks take at most (longest
-transaction) x (nodes) / 8 bytes, like the rows. The search needs every
-children list in ascending birth (creation) order, which holds because new
-nodes are appended and adopted ones deleted in place; validate() checks
-that, the rows and the masks.
+length. Placement asks the index for the multiples of itemset x, its
+supersets(x), the nodes holding all of x's items, and for the stored
+divisors of x, its subsets(x) less the root, the nodes holding no item
+outside x; the heads among the multiples are an AND with the depth-1 mask.
+Only the index and validate() read its rows, so their format and the divisor
+search sit behind it. A birth-indexed head list holds the birth of each
+node's head, so which head holds a node is one lookup: only when the
+earliest multiple head is not the first head are the divisors' heads looked
+up, until one is older than it. The deepest multiple is found by ANDing the
+multiples with the depth masks, deepest first, skipping those under other
+heads, and the mask it is found in gives the new node's depth. A new head
+adopts the heads among the divisors; any other parent's children are tested
+one by one, and each adopted subtree moves one mask down. A node's depth
+only grows, when its subtree is adopted, and never passes the item count of
+its head, so over a build each node moves down at most
+(longest transaction) - 1 times, and the masks take at most
+(longest transaction) x (nodes) / 8 bytes, like the rows. The search needs
+every children list in ascending birth (creation) order, which holds
+because new nodes are appended and adopted ones deleted in place;
+validate() checks that, the rows and the masks.
 
 Counts live in the index alone: a node's count is the one at its birth, the
 root is bit 0 as the empty itemset counting 0, and the item frequencies and
@@ -44,15 +47,16 @@ the transaction count are read from the index. Bit b is the b-th distinct
 transaction in first-occurrence order, the order of TransactionDB.tally(),
 so the same index can be built from the tally alone, with no placement.
 support() takes an itemset and answers from the index, with no prime
-arithmetic: an AND of its items' rows selects the nodes that hold them all,
-one popcount counts them, and their counts' excess over 1, split into
-binary weight planes, adds one popcount per plane. Most nodes of a sparse
-database count 1, so its trees have few planes or none. The paper's own
-query, walk_support(), takes a prime-coded value and stays as the reference
-oracle: it sums the counts of the nodes the query value divides, skipping a
-whole subtree as soon as its top value fails the test, since descendant
-values divide their ancestors'. The paper's per-node global count (the
-counts summed along the root path) is not stored; neither query reads it.
+arithmetic: supersets(), an AND of its items' rows, selects the nodes that
+hold them all, one popcount counts them, and their counts' excess over 1,
+split into binary weight planes, adds one popcount per plane. Most nodes
+of a sparse database count 1, so its trees have few planes or none. The
+paper's own query, walk_support(), takes a prime-coded value and stays as
+the reference oracle: it sums the counts of the nodes the query value
+divides, skipping a whole subtree as soon as its top value fails the test,
+since descendant values divide their ancestors'. The paper's per-node global
+count (the counts summed along the root path) is not stored; neither query
+reads it.
 """
 
 from __future__ import annotations
@@ -60,8 +64,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from functools import reduce
-from itertools import repeat
-from operator import and_, attrgetter, or_
+from operator import attrgetter, or_
 from typing import Iterable, Iterator
 
 from .baselines import TransactionDB
@@ -108,10 +111,14 @@ class VerticalIndex:
     """Item rows and one count per bit over itemsets added in turn.
 
     rows[item] has bit b set when the b-th itemset added holds item, and
-    counts[b] is the number of transactions that itemset stands for, at
-    least 1 when it has an item. The first support() after a change builds
-    the count weight planes (bit b of plane j is bit j of counts[b] - 1) and
-    publishes them with one store, so racing queries at worst build twice.
+    counts[b] is the number of transactions that itemset stands for. add()
+    and bump() enforce that a count is at least 1, except an empty
+    itemset's (a tree's root counts 0), and reject a bad count before they
+    change anything. supersets() and subsets() answer the containment
+    queries from the rows alone. The first support() after a change builds
+    the count weight planes (bit b of plane j is bit j of counts[b] - 1)
+    and publishes them with one store, so racing queries at worst build
+    twice.
     """
 
     __slots__ = ("rows", "counts", "_planes")
@@ -123,6 +130,9 @@ class VerticalIndex:
 
     def add(self, items: Iterable[int], count: int) -> int:
         """Give itemset items, standing for count transactions, the next bit; return it."""
+        items = tuple(items)
+        if count < 1 and items:
+            raise ValueError(f"an itemset stands for at least one transaction, got count {count}")
         bit = len(self.counts)
         self.counts.append(count)
         self._planes = None
@@ -133,8 +143,27 @@ class VerticalIndex:
 
     def bump(self, bit: int, count: int) -> None:
         """Count count more transactions for the itemset at bit."""
+        if count < 1:
+            raise ValueError(f"a bump counts at least one transaction, got count {count}")
         self.counts[bit] += count
         self._planes = None
+
+    def supersets(self, items: Iterable[int]) -> int:
+        """Bits of the itemsets that hold every one of items; -1 (every bit) for none."""
+        rows = self.rows
+        hit = -1  # an item no row holds clears every bit
+        for item in items:
+            hit &= rows.get(item, 0)
+        return hit
+
+    def subsets(self, items: Iterable[int]) -> int:
+        """Bits of the itemsets that hold no item outside items.
+
+        An empty itemset, such as a tree's root at bit 0, is always among them.
+        """
+        rows = self.rows
+        outside = reduce(or_, map(rows.__getitem__, rows.keys() - set(items)), 0)
+        return ((1 << len(self.counts)) - 1) & ~outside
 
     def support(self, items: Iterable[int]) -> int:
         """Number of transactions that contain every one of items, or all for none.
@@ -147,11 +176,8 @@ class VerticalIndex:
             planes = self._planes = tuple(
                 _mask(b for b, e in enumerate(excess) if e >> j & 1)
                 for j in range(max(excess, default=0).bit_length()))
-        rows = self.rows
-        hit = -1  # every bit; an item no row holds clears it
-        for item in items:
-            hit &= rows.get(item, 0)
-        if hit < 0:  # no items, so no row narrowed it
+        hit = self.supersets(items)
+        if hit < 0:  # no items
             return sum(self.counts)
         total = hit.bit_count()
         for j, plane in enumerate(planes):
@@ -207,8 +233,6 @@ class PCTree:
         children of its new parent that divide it, as a new superset of a
         head does the head.
         """
-        if count < 1:
-            raise ValueError(f"a transaction is inserted at least once, got count {count}")
         x = as_itemset(items)
         if not x:
             raise ValueError("empty transactions carry no pattern information")
@@ -259,14 +283,13 @@ class PCTree:
         head holds a divisor; with no such multiple, the value is a new head,
         under the root at depth 0.
         """
-        root, rows, levels, nodes = self.root, self.index.rows, self._levels, self._nodes
+        root, index, levels, nodes = self.root, self.index, self._levels, self._nodes
         heads = levels[1] if len(levels) > 1 else 0
-        contain = reduce(and_, map(rows.get, x, repeat(0)))  # every multiple of value
+        contain = index.supersets(x)  # every multiple of value
         multiples = contain & heads
         earliest = (multiples & -multiples).bit_length() - 1  # -1 when there is none
         if earliest < 0 or nodes[earliest] is not root.children[0]:
-            outside = reduce(or_, map(rows.__getitem__, rows.keys() - set(x)), 0)
-            divisors = ((1 << len(nodes)) - 2) & ~outside  # bit 0 is the root
+            divisors = index.subsets(x) & ~1  # the root divides everything but is no node
             older = map(earliest.__gt__, map(self._heads.__getitem__, _bit_positions(divisors)))
             if earliest < 0 or any(older):
                 return root, 0, [nodes[b] for b in _bit_positions(divisors & heads)]

@@ -118,6 +118,8 @@ def test_fresh_tree_supports_nothing():
     tree = PCTree(build_prime_table(range(6)))
     assert tree.support((A, C, D)) == 0
     assert tree.support(()) == 0
+    assert tree.index.supersets(()) == -1  # every bit, as for any index
+    assert tree.index.subsets((A,)) == 1  # the root alone
     assert tree.heads() == ()
     assert tree.validate() == []
 
@@ -246,6 +248,16 @@ def test_count_excess_planes_edge_cases():
     assert tree.index._planes == ()  # no repeated row: every query is one popcount
     assert tree.support(()) == tree.transaction_count == len(SINGLE_ROWS)
     assert tree.support((A,)) == 3
+    # a count below 1 is refused before the index changes, except the empty itemset's
+    index, b = tree.index, tree._node_by_value[encode((A,), tree.prime_table)].birth
+    before = (dict(index.rows), list(index.counts))
+    for bad in (lambda: index.add((1, 2), 0), lambda: index.add((1,), -1),
+                lambda: index.bump(b, 0)):
+        with pytest.raises(ValueError):
+            bad()
+        assert (index.rows, index.counts) == before
+        assert tree.support((A,)) == 3 and tree.support((1,)) == 2
+        assert tree.support(()) == len(SINGLE_ROWS)
 
 
 def test_validate_catches_a_flipped_plane_bit(demo_tree):
@@ -428,6 +440,11 @@ def test_support_index_matches_walk_and_raw_count(db, data):
     for items in queries:
         assert index.support(items) == tree.support(items) == tree.walk_support(
             encode(items, table)) == count_oracle(db.itemsets(), items)
+        above = sum(1 << n.birth for n in tree._nodes if items <= set(n.items))
+        below = sum(1 << n.birth for n in tree._nodes if items >= set(n.items))  # the root too
+        for either in (index, tree.index):
+            assert either.supersets(items) == (above if items else -1)
+            assert either.subsets(items) == below
 
 
 @given(db=databases())
