@@ -36,13 +36,14 @@ def load_transactions(path) -> TransactionDB:
     before reuses that line's itemset, so heavily duplicated files pay for
     tokenizing and canonicalizing once per distinct line. Only lines that
     parsed cleanly are remembered, so a bad token raises with the number of
-    the first line that holds it.
+    the first line that holds it. A byte that is not UTF-8 is read as a lone
+    surrogate, so it makes a bad token too, reported with its file and line.
     """
     rows = []
     parsed: dict[str, Itemset] = {}
     universe: set[int] = set()
     skipped = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             itemset = parsed.get(line)
             if itemset is None:

@@ -14,6 +14,13 @@ distinct candidate's support is evaluated at most once, which is where the
 saving over level-wise joins comes from on databases whose transactions
 overlap heavily.
 
+Known frequent means covered. The frequent singletons and the frequent
+examined candidates, the tops, are kept in one VerticalIndex, the cover,
+one bit each. A head or candidate that a top holds is settled without a
+query. After the walk, the cover's covered() enumerates the frequent family
+depth first, each itemset once, so the cost of the family is linear in its
+size; no set of every subset of every top is built.
+
 A level is built from ordered runs. The heads are sorted once, each head's
 k-subsets come from combinations() in lexicographic order, and a dict built
 over them all drops the repeats while keeping that order. So the level's
@@ -64,21 +71,17 @@ def candidate_head(head: Itemset, frequencies: dict[int, int], sigma: int) -> It
     return tuple(item for item in head if frequencies.get(item, 0) >= sigma)
 
 
-def _maximal_members(itemsets: Iterable[Itemset]) -> set[Itemset]:
+def maximal_frequent(frequent: Iterable[Itemset]) -> set[Itemset]:
+    """Subset-maximal members of a family of itemsets."""
     # Largest first: a set can only be absorbed by a strictly larger one. A
     # vertical index of the kept sets names those that contain it; with none
     # kept nothing absorbs, although supersets(()) is every bit.
     index, kept = VerticalIndex(), []
-    for its in sorted(set(itemsets), key=lambda t: (-len(t), t)):
+    for its in sorted(set(frequent), key=lambda t: (-len(t), t)):
         if not (kept and index.supersets(its)):
             index.add(its, 1)
             kept.append(its)
     return set(kept)
-
-
-def maximal_frequent(frequent: Iterable[Itemset]) -> set[Itemset]:
-    """Subset-maximal members of a family of itemsets."""
-    return _maximal_members(frequent)
 
 
 def candidate_head_set(tree: PCTree, sigma: int) -> set[Itemset]:
@@ -94,11 +97,7 @@ def candidate_head_set(tree: PCTree, sigma: int) -> set[Itemset]:
         head = candidate_head(node.items, frequencies, sig)
         if head:
             reduced.append(head)
-    return _maximal_members(reduced)
-
-
-def _nonempty_subsets(items: Itemset):
-    return chain.from_iterable(combinations(items, size) for size in range(1, len(items) + 1))
+    return maximal_frequent(reduced)
 
 
 def mine(tree: PCTree, sigma: int) -> MiningResult:
@@ -107,35 +106,44 @@ def mine(tree: PCTree, sigma: int) -> MiningResult:
     Candidates are processed level by level from the largest head size down
     to pairs, lexicographically within a level, so reruns examine the same
     candidates in the same order. Level k is built once, when the walk
-    reaches it: the k-subsets of the candidate heads, head by head in sorted
-    order, minus every itemset already known frequent, then sorted, which
-    merges the heads' ascending runs. Examining a k-candidate adds no other
-    k-itemset to the frequent ones, so the level needs no further check
-    while it runs. Supports for the result map are backfilled
-    with fresh queries after the walk; those do not count as examinations.
+    reaches it: the k-subsets of the candidate heads that no top holds, head
+    by head in sorted order, then sorted, which merges the heads' ascending
+    runs. A candidate is known frequent when the cover, the index of the
+    tops, holds it; it is skipped without a query. Singletons hold no
+    candidate, so that check starts with the first frequent candidate.
     Every frequent itemset is a frequent singleton or a subset of a frequent
-    examined candidate, so the maximal ones are found among those alone.
+    examined candidate, so the frequent family is what the cover's covered()
+    yields over the frequent items, and the maximal sets are the tops that
+    no other top holds. Supports for the result map are backfilled with one
+    fresh query per frequent itemset after the walk; those do not count as
+    examinations.
     """
     sig = effective_sigma(sigma)
-    frequent: set[Itemset] = {
-        (item,) for item, count in tree.frequency_table.items() if count >= sig
-    }
-    tops = list(frequent)  # frequent singletons, then frequent examined candidates
     heads = sorted(candidate_head_set(tree, sig))
+    items = sorted(item for item, count in tree.frequency_table.items() if count >= sig)
+    tops = [(item,) for item in items]  # frequent singletons, then frequent examined candidates
+    cover = VerticalIndex()  # bit b holds tops[b]
+    for top in tops:
+        cover.add(top, 1)
+    singles = len(tops)
     examined: list[Itemset] = []
     for k in range(max(map(len, heads), default=0), 1, -1):
-        # the heads are an antichain, so only a head itself can cover it
-        level = dict.fromkeys(chain.from_iterable(
-            combinations(head, k) for head in heads if head not in frequent))
-        for known in level.keys() & frequent:
-            del level[known]
+        # Only a frequent candidate of a larger level covers a head or a
+        # candidate here: the heads are an antichain, a singleton holds
+        # neither, and a frequent candidate of this level holds only itself.
+        covering = len(tops) > singles
+        level = dict.fromkeys(chain.from_iterable(combinations(head, k) for head in heads
+                                                  if not (covering and cover.supersets(head))))
         for candidate in sorted(level):
+            if covering and cover.supersets(candidate):
+                continue
             examined.append(candidate)
             if tree.support(candidate) >= sig:
                 tops.append(candidate)
-                frequent.update(_nonempty_subsets(candidate))
+                cover.add(candidate, 1)
         del level  # build the next level only once this one is released
     del heads  # and release the heads before the result is built
-    supports = {f: tree.support(f) for f in frequent}
-    maximal = tuple(sorted(_maximal_members(tops)))
+    supports = {f: tree.support(f) for f in cover.covered(items)}
+    maximal = tuple(sorted(  # the tops that no other top holds
+        top for bit, top in enumerate(tops) if cover.supersets(top) == 1 << bit))
     return MiningResult(frequent=supports, maximal=maximal, examined=tuple(examined), sigma=sig)

@@ -115,10 +115,11 @@ class VerticalIndex:
     and bump() enforce that a count is at least 1, except an empty
     itemset's (a tree's root counts 0), and reject a bad count before they
     change anything. supersets() and subsets() answer the containment
-    queries from the rows alone. The first support() after a change builds
-    the count weight planes (bit b of plane j is bit j of counts[b] - 1)
-    and publishes them with one store, so racing queries at worst build
-    twice.
+    queries from the rows alone, and covered() walks the same rows depth
+    first to list every itemset that some stored itemset holds, each once.
+    The first support() after a change builds the count weight planes (bit
+    b of plane j is bit j of counts[b] - 1) and publishes them with one
+    store, so racing queries at worst build twice.
     """
 
     __slots__ = ("rows", "counts", "_planes")
@@ -164,6 +165,31 @@ class VerticalIndex:
         rows = self.rows
         outside = reduce(or_, map(rows.__getitem__, rows.keys() - set(items)), 0)
         return ((1 << len(self.counts)) - 1) & ~outside
+
+    def covered(self, items: Iterable[int]) -> Iterator[Itemset]:
+        """Each non-empty itemset over items that some stored itemset holds, once.
+
+        An itemset lists its items in the order of items and comes right
+        before its extensions by later items, depth first. Each open prefix
+        keeps the bits of its holders and the positions it has yet to try on
+        an explicit stack, so a stored itemset of any length stays clear of
+        the recursion limit. The prefixes on the stack are the itemsets
+        already yielded, so the stack costs no copies.
+        """
+        items = tuple(items)
+        rows = [self.rows.get(item, 0) for item in items]
+        stack = [((), -1, iter(range(len(items))))]  # prefix, its holders, positions left
+        while stack:
+            prefix, holders, positions = stack[-1]
+            for position in positions:
+                hit = holders & rows[position]
+                if hit:
+                    itemset = prefix + (items[position],)
+                    yield itemset
+                    stack.append((itemset, hit, iter(range(position + 1, len(items)))))
+                    break
+            else:  # every extension tried: close the prefix
+                stack.pop()
 
     def support(self, items: Iterable[int]) -> int:
         """Number of transactions that contain every one of items, or all for none.

@@ -274,6 +274,15 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert ":2:" in err
 
 
+def test_non_utf8_file_exits_two_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "binary.dat"
+    bad.write_bytes(b"\xff\xfe1 2\n")
+    code, _, err = run(capsys, "mine", "--input", str(bad), "--min-sup", "1")
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: {bad}:1: bad item id")
+    assert "codec" not in err
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "mine", "--input", str(tmp_path / "nope.dat"), "--min-sup", "1")
     assert code == EXIT_USAGE

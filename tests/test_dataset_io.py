@@ -88,6 +88,15 @@ def test_load_reports_the_line_of_a_bad_token_after_repeats(tmp_path):
         load_transactions(path)
 
 
+@pytest.mark.parametrize("data, line", [(b"\xff 1\n", 1), (b"1 2\n3 \xfe4\n1\n", 2)],
+                         ids=["first-byte", "mid-line"])
+def test_load_reports_bytes_that_are_not_utf8_with_file_and_line(tmp_path, data, line):
+    path = tmp_path / "latin.dat"
+    path.write_bytes(data)
+    with pytest.raises(TransactionParseError, match=f"latin.dat:{line}: bad item id"):
+        load_transactions(path)
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_transactions(tmp_path / "nope.dat")

@@ -13,8 +13,6 @@ from pcmine.baselines import TransactionDB, apriori_mine, brute_force_mine, effe
 from pcmine.dataset_io import SyntheticSpec, generate_synthetic
 from pcmine.pc_miner import (
     MiningResult,
-    _maximal_members,
-    _nonempty_subsets,
     candidate_head,
     candidate_head_set,
     maximal_frequent,
@@ -187,6 +185,10 @@ def at_most_ten_frequent_items(tree, sigma):
     return max(sigma, counts[10] + 1) if len(counts) > 10 else sigma
 
 
+def nonempty_subsets(items):
+    return {sub for size in range(1, len(items) + 1) for sub in combinations(items, size)}
+
+
 def spawning_walk(tree, sigma):
     """The paper's walk with a spawning pool: the reference for mine()'s levels.
 
@@ -209,11 +211,11 @@ def spawning_walk(tree, sigma):
             examined.append(candidate)
             if tree.support(candidate) >= sig:
                 tops.append(candidate)
-                frequent.update(_nonempty_subsets(candidate))
+                frequent.update(nonempty_subsets(candidate))
             elif k > 2:
                 below.update(combinations(candidate, k - 1))
     supports = {f: tree.support(f) for f in frequent}
-    maximal = tuple(sorted(_maximal_members(tops)))
+    maximal = tuple(sorted(maximal_frequent(tops)))
     return MiningResult(frequent=supports, maximal=maximal, examined=tuple(examined), sigma=sig)
 
 
@@ -282,6 +284,17 @@ def test_dense_duplicate_database_walks_like_the_spawning_walk():
     assert_same_walk(result, spawning_walk(tree, 2000))
     assert len(result.frequent) == 1_585
     assert result.frequent == apriori_mine(db, 2000).frequent
+    # 30 random 10-of-12 rows, each three times: dozens of frequent tops
+    # overlap, and at 4 they cover most of the lower levels' candidates
+    rng = random.Random(0)
+    rows = [rng.sample(range(12), 10) for _ in range(30)]
+    db = TransactionDB.from_itemsets([row for row in rows for _ in range(3)])
+    tree = build_tree(db)
+    for sigma, examined, tops in ((2, 24, 24), (4, 290, 66)):
+        result = mine(tree, sigma)
+        assert_same_walk(result, spawning_walk(tree, sigma))
+        assert result.frequent == apriori_mine(db, sigma).frequent
+        assert (len(result.examined), len(result.maximal)) == (examined, tops)
 
 
 @given(db=st.one_of(databases(), adversarial_databases()), data=st.data())
@@ -299,7 +312,7 @@ def test_candidate_head_set_is_the_maximal_reduced_transactions(db, data):
 
 
 def pairwise_maximal_members(itemsets):
-    """The pairwise subset test _maximal_members used before its bitmasks; the reference."""
+    """The pairwise subset test maximal_frequent used before its bitmasks; the reference."""
     kept = []
     for its in sorted(set(itemsets), key=lambda t: (-len(t), t)):
         fs = frozenset(its)
@@ -309,9 +322,9 @@ def pairwise_maximal_members(itemsets):
 
 
 def test_maximal_members_empty_itemset():
-    assert _maximal_members([]) == set()
-    assert _maximal_members([()]) == {()}
-    assert _maximal_members([(), (), (A,)]) == {(A,)}
+    assert maximal_frequent([]) == set()
+    assert maximal_frequent([()]) == {()}
+    assert maximal_frequent([(), (), (A,)]) == {(A,)}
 
 
 @given(itemsets=st.lists(st.sets(st.integers(min_value=0, max_value=9), max_size=6)
@@ -321,4 +334,4 @@ def test_maximal_members_empty_itemset():
 def test_maximal_members_matches_the_pairwise_reference(itemsets, data):
     repeats = data.draw(st.lists(st.sampled_from(itemsets), max_size=10)) if itemsets else []
     family = data.draw(st.permutations(itemsets + repeats))
-    assert _maximal_members(family) == pairwise_maximal_members(family)
+    assert maximal_frequent(family) == pairwise_maximal_members(family)

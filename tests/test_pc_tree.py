@@ -6,7 +6,7 @@ scan of the raw transactions are its oracles.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -445,6 +445,43 @@ def test_support_index_matches_walk_and_raw_count(db, data):
         for either in (index, tree.index):
             assert either.supersets(items) == (above if items else -1)
             assert either.subsets(items) == below
+
+
+@given(stored=st.lists(st.sets(st.integers(min_value=0, max_value=9)), max_size=12),
+       items=st.lists(st.integers(min_value=0, max_value=11), unique=True))
+@settings(max_examples=150, deadline=None)
+def test_covered_lists_each_held_itemset_once_depth_first(stored, items):
+    index = VerticalIndex()
+    for itemset in stored:
+        index.add(sorted(itemset), 1)
+    got = list(index.covered(items))
+    assert len(got) == len(set(got))
+    # brute force: every non-empty subset of a stored itemset, restricted to items
+    expected = {frozenset(sub) for itemset in stored
+                for size in range(1, len(itemset) + 1)
+                for sub in combinations(sorted(itemset & set(items)), size)}
+    assert set(map(frozenset, got)) == expected
+    # items give the order within an itemset, and a prefix precedes its extensions
+    positions = [tuple(map(items.index, itemset)) for itemset in got]
+    assert all(list(p) == sorted(p) for p in positions)
+    assert positions == sorted(positions)
+
+
+def test_covered_edge_cases():
+    assert list(VerticalIndex().covered(range(5))) == []
+    index = VerticalIndex()
+    index.add((1, 2), 1)
+    assert list(index.covered([7])) == []  # no row holds item 7
+    assert list(index.covered([])) == []
+    assert list(index.covered([2, 7, 1])) == [(2,), (2, 1), (1,)]
+
+
+def test_covered_walks_a_1200_item_itemset_without_recursion():
+    index = VerticalIndex()
+    index.add(range(1200), 1)
+    first = list(islice(index.covered(range(1200)), 1201))
+    assert first[:1200] == [tuple(range(k + 1)) for k in range(1200)]
+    assert first[1200] == (*range(1198), 1199)
 
 
 @given(db=databases())
