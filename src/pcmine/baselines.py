@@ -10,8 +10,7 @@ tally makes pcminer and Apriori agree with each other and differ from it.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -28,24 +27,22 @@ class UniverseTooLargeError(ValueError):
     """Exhaustive enumeration refused: the items or the subset-row work exceed a guard."""
 
 
-@dataclass(frozen=True)
 class TransactionDB:
-    """An in-memory transaction database.
+    """An in-memory transaction database, read-only once built.
 
     transactions holds (tid, itemset) pairs with tids unique and ascending;
     universe is the ascending tuple of item ids the transactions draw from.
     tally() is the only place duplicate rows are collapsed.
     """
 
-    transactions: tuple[tuple[int, Itemset], ...]
-    universe: tuple[int, ...]
+    __slots__ = ("transactions", "universe")
 
-    def __post_init__(self):
-        allowed = set(self.universe)
-        if list(self.universe) != sorted(allowed):
+    def __init__(self, transactions: tuple[tuple[int, Itemset], ...], universe: tuple[int, ...]):
+        allowed = set(universe)
+        if list(universe) != sorted(allowed):
             raise ValueError("universe must be strictly ascending")
         last_tid = 0
-        for tid, items in self.transactions:
+        for tid, items in transactions:
             if tid <= last_tid:
                 raise ValueError(f"transaction ids must ascend, got {tid} after {last_tid}")
             last_tid = tid
@@ -53,6 +50,28 @@ class TransactionDB:
                 raise ValueError(f"transaction {tid} is empty")
             if not allowed.issuperset(items):
                 raise ValueError(f"transaction {tid} uses items outside the universe")
+        object.__setattr__(self, "transactions", transactions)
+        object.__setattr__(self, "universe", universe)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.transactions, self.universe) == (other.transactions, other.universe)
+
+    def __hash__(self):
+        return hash((self.transactions, self.universe))
+
+    def __repr__(self):
+        return f"TransactionDB(transactions={self.transactions!r}, universe={self.universe!r})"
+
+    def __reduce__(self):  # copy and pickle through __init__, not attribute by attribute
+        return self.__class__, (self.transactions, self.universe)
 
     @classmethod
     def from_itemsets(cls, itemsets: Iterable[Iterable[int]],
@@ -77,10 +96,7 @@ class TransactionDB:
         return Counter(items for _tid, items in self.transactions)
 
 
-@dataclass(frozen=True)
-class BaselineResult:
-    frequent: dict[Itemset, int]
-    candidates_generated: int
+BaselineResult = namedtuple("BaselineResult", "frequent candidates_generated")
 
 
 def effective_sigma(sigma: int) -> int:

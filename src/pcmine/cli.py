@@ -7,6 +7,10 @@ when the reader of stdout goes away first, as `pcmine mine ... | head -1`
 does; that exit prints nothing. A library warning, such as a threshold of 0
 or a skipped blank line, is one `warning: <message>` line on stderr. All
 output except the time_* lines is byte-identical across reruns.
+
+Every run pays for the imports, so the package imports no dataclasses,
+which would bring inspect, ast and dis with it: its records are
+namedtuples and __slots__ classes.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from math import ceil
 from pathlib import Path
 
@@ -29,13 +33,10 @@ EXIT_USAGE = 2
 EXIT_BROKEN_PIPE = 141
 
 
-@dataclass
-class RunOutcome:
-    frequent: dict
-    candidates: int
-    mine_ms: float
-    build_ms: float | None = None
-    maximal: tuple | None = None  # derived from frequent when the miner does not report it
+# build_ms is None for a miner with no build step; maximal is None when the miner does not
+# report it, and is then derived from frequent.
+RunOutcome = namedtuple("RunOutcome", "frequent candidates mine_ms build_ms maximal",
+                        defaults=(None, None))
 
 
 def _run_pcminer(db: TransactionDB, sigma: int) -> RunOutcome:

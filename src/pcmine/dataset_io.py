@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 from .baselines import TransactionDB
@@ -64,8 +64,7 @@ def load_transactions(path) -> TransactionDB:
     return TransactionDB(tuple(enumerate(rows, start=1)), tuple(sorted(universe)))
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(namedtuple("SyntheticSpec", "num_transactions num_items density seed")):
     """Parameters of one reproducible random database.
 
     density is the independent per-item inclusion probability, so
@@ -73,20 +72,18 @@ class SyntheticSpec:
     least 1 to keep the empty-transaction redraw loop sane.
     """
 
-    num_transactions: int
-    num_items: int
-    density: float
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.num_transactions < 1:
+    def __new__(cls, num_transactions: int, num_items: int, density: float, seed: int):
+        if num_transactions < 1:
             raise ValueError("need at least one transaction")
-        if self.num_items < 1:
+        if num_items < 1:
             raise ValueError("need at least one item")
-        if not 0.0 < self.density <= 1.0:
-            raise ValueError(f"density must be in (0, 1], got {self.density}")
-        if self.density * self.num_items < 1.0:
+        if not 0.0 < density <= 1.0:
+            raise ValueError(f"density must be in (0, 1], got {density}")
+        if density * num_items < 1.0:
             raise ValueError("density * num_items must be at least 1")
+        return super().__new__(cls, num_transactions, num_items, density, seed)
 
     @property
     def name(self) -> str:
@@ -125,25 +122,15 @@ def generate_synthetic(spec: SyntheticSpec) -> TransactionDB:
     return TransactionDB.from_itemsets(rows, universe=range(spec.num_items))
 
 
-@dataclass(frozen=True)
-class StatsRow:
-    """One mining run, as a row of the stats CSV."""
-
-    dataset: str
-    algorithm: str
-    sigma: int
-    num_frequent: int
-    num_candidates: int
-    runtime_ms: float
+# One mining run, as a row of the stats CSV: its fields in STATS_HEADER's order.
+StatsRow = namedtuple("StatsRow", "dataset algorithm sigma num_frequent num_candidates runtime_ms")
 
 
 def write_stats_csv(rows: Iterable[StatsRow], stream) -> None:
     """Write the fixed header and one CSV line per run to an open text stream."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(STATS_HEADER)
-    for row in rows:
-        writer.writerow([row.dataset, row.algorithm, row.sigma,
-                         row.num_frequent, row.num_candidates, row.runtime_ms])
+    writer.writerows(rows)
 
 
 def write_stats(rows: Iterable[StatsRow], path) -> None:

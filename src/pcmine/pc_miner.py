@@ -35,7 +35,7 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, combinations
 from typing import Iterable
 
@@ -46,8 +46,7 @@ from .prime_codec import Itemset
 from .prime_codec import decode, encode  # noqa: F401
 
 
-@dataclass(frozen=True)
-class MiningResult:
+class MiningResult(namedtuple("MiningResult", "frequent maximal examined sigma")):
     """Everything one mining run produced.
 
     frequent maps each frequent itemset to its absolute support; maximal
@@ -56,10 +55,7 @@ class MiningResult:
     order; sigma is the absolute threshold actually enforced.
     """
 
-    frequent: dict[Itemset, int]
-    maximal: tuple[Itemset, ...]
-    examined: tuple[Itemset, ...]
-    sigma: int
+    __slots__ = ()
 
     @property
     def candidates_examined(self) -> int:

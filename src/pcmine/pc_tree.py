@@ -47,16 +47,18 @@ the transaction count are read from the index. Bit b is the b-th distinct
 transaction in first-occurrence order, the order of TransactionDB.tally(),
 so the same index can be built from the tally alone, with no placement.
 support() takes an itemset and answers from the index, with no prime
-arithmetic: supersets(), an AND of its items' rows, selects the nodes that
-hold them all, one popcount counts them, and their counts' excess over 1,
-split into binary weight planes, adds one popcount per plane. Most nodes
-of a sparse database count 1, so its trees have few planes or none. The
-paper's own query, walk_support(), takes a prime-coded value and stays as
-the reference oracle: it sums the counts of the nodes the query value
-divides, skipping a whole subtree as soon as its top value fails the test,
-since descendant values divide their ancestors'. The paper's per-node global
-count (the counts summed along the root path) is not stored; neither query
-reads it.
+arithmetic: an AND of its items' rows selects the nodes that hold them
+all, and one popcount counts them. Their counts' excess over 1, split into
+binary weight planes, adds one popcount per plane, but only when the
+selection meets the union of the planes, the nodes that count more than 1.
+Most nodes of a sparse database count 1, so its trees have few planes or
+none, and most of its queries select no repeated node and cost one
+popcount. The paper's own query, walk_support(), takes a prime-coded value
+and stays as the reference oracle: it sums the counts of the nodes the
+query value divides, skipping a whole subtree as soon as its top value
+fails the test, since descendant values divide their ancestors'. The
+paper's per-node global count (the counts summed along the root path) is
+not stored; neither query reads it.
 """
 
 from __future__ import annotations
@@ -117,17 +119,23 @@ class VerticalIndex:
     change anything. supersets() and subsets() answer the containment
     queries from the rows alone, and covered() walks the same rows depth
     first to list every itemset that some stored itemset holds, each once.
-    The first support() after a change builds the count weight planes (bit
-    b of plane j is bit j of counts[b] - 1) and publishes them with one
-    store, so racing queries at worst build twice.
+    support() ANDs its items' rows itself and counts the hit with one
+    popcount. The first support() after a change builds the count weight
+    planes (bit b of plane j is bit j of counts[b] - 1) together with their
+    union, the bits of the itemsets that count more than 1, and a query
+    reads the planes only when its hit meets that union. The planes are
+    stored before the union and a query reads the union first, so a query
+    that finds the union finds its planes, and racing queries at worst
+    build twice.
     """
 
-    __slots__ = ("rows", "counts", "_planes")
+    __slots__ = ("rows", "counts", "_planes", "_repeated")
 
     def __init__(self):
         self.rows: dict[int, int] = {}
         self.counts: list[int] = []
         self._planes: tuple[int, ...] | None = None
+        self._repeated: int | None = None  # the union of the planes, stored after them
 
     def add(self, items: Iterable[int], count: int) -> int:
         """Give itemset items, standing for count transactions, the next bit; return it."""
@@ -136,7 +144,7 @@ class VerticalIndex:
             raise ValueError(f"an itemset stands for at least one transaction, got count {count}")
         bit = len(self.counts)
         self.counts.append(count)
-        self._planes = None
+        self._repeated = self._planes = None
         mask, rows = 1 << bit, self.rows
         for item in items:
             rows[item] = rows.get(item, 0) | mask
@@ -147,7 +155,7 @@ class VerticalIndex:
         if count < 1:
             raise ValueError(f"a bump counts at least one transaction, got count {count}")
         self.counts[bit] += count
-        self._planes = None
+        self._repeated = self._planes = None
 
     def supersets(self, items: Iterable[int]) -> int:
         """Bits of the itemsets that hold every one of items; -1 (every bit) for none."""
@@ -196,19 +204,29 @@ class VerticalIndex:
 
         An item that no row holds gives 0, and a repeated item counts once.
         """
-        planes = self._planes
-        if planes is None:
-            excess = [max(count - 1, 0) for count in self.counts]  # an empty itemset may count 0
-            planes = self._planes = tuple(
-                _mask(b for b, e in enumerate(excess) if e >> j & 1)
-                for j in range(max(excess, default=0).bit_length()))
-        hit = self.supersets(items)
+        repeated = self._repeated
+        if repeated is None:
+            repeated = self._weigh()
+        rows = self.rows
+        hit = -1  # an item no row holds clears every bit
+        for item in items:
+            hit &= rows.get(item, 0)
         if hit < 0:  # no items
             return sum(self.counts)
         total = hit.bit_count()
-        for j, plane in enumerate(planes):
-            total += (hit & plane).bit_count() << j
+        if hit & repeated:  # otherwise every selected itemset counts 1
+            for j, plane in enumerate(self._planes):
+                total += (hit & plane).bit_count() << j
         return total
+
+    def _weigh(self) -> int:
+        """Build the count weight planes and their union; store the planes first."""
+        excess = [max(count - 1, 0) for count in self.counts]  # an empty itemset may count 0
+        planes = tuple(_mask(b for b, e in enumerate(excess) if e >> j & 1)
+                       for j in range(max(excess, default=0).bit_length()))
+        self._planes = planes
+        self._repeated = repeated = reduce(or_, planes, 0)
+        return repeated
 
 
 class PCTree:

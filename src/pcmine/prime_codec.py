@@ -107,7 +107,7 @@ def encode(items: Iterable[int], table: PrimeTable) -> int:
     outside the table's universe, which signals a table/universe mismatch.
     """
     try:
-        return prod([table._prime_by_item[item] for item in set(items)])
+        return prod(map(table._prime_by_item.__getitem__, set(items)))
     except KeyError as missing:
         raise UnknownItemError(f"item {missing.args[0]} is not in this prime table") from None
 

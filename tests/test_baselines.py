@@ -1,5 +1,7 @@
 """Baseline miner tests: frozen counts, guard behavior, mutual agreement."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,10 @@ def test_transaction_db_validation():
         TransactionDB(transactions=((1, (5,)),), universe=(0, 1))
     with pytest.raises(ValueError):
         TransactionDB(transactions=(), universe=(1, 0))
+    db = TransactionDB(transactions=((1, (0,)),), universe=(0, 1))
+    with pytest.raises(AttributeError):  # read-only once built
+        db.universe = (0,)
+    assert copy.deepcopy(db) == db and hash(copy.copy(db)) == hash(db)
 
 
 def test_tally_keeps_first_occurrence_order_and_every_row():

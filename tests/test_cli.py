@@ -337,3 +337,16 @@ def test_a_reader_that_goes_away_ends_the_run_quietly():
         code = child.wait(timeout=60)
     assert code == EXIT_BROKEN_PIPE
     assert err == b""
+
+
+def test_cli_start_up_imports_no_dataclasses():
+    # dataclasses brings inspect, ast and dis, a cost that every CLI start would pay
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+             "import pcmine.cli; print(' '.join(sorted(set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", probe, src],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    new = done.stdout.split()
+    assert "pcmine.cli" in new
+    assert not {"dataclasses", "inspect"} & set(new)

@@ -122,6 +122,9 @@ def test_synthetic_spec_validation():
         SyntheticSpec(5, 5, 1.5, 1)
     with pytest.raises(ValueError):
         SyntheticSpec(5, 20, 0.01, 1)  # expected length below one item
+    spec = SyntheticSpec(5, 20, 0.05, seed=1)
+    with pytest.raises(AttributeError):  # read-only once built
+        spec.seed = 2
 
 
 def test_synthetic_density_one_is_all_items():

@@ -258,6 +258,18 @@ def test_count_excess_planes_edge_cases():
         assert (index.rows, index.counts) == before
         assert tree.support((A,)) == 3 and tree.support((1,)) == 2
         assert tree.support(()) == len(SINGLE_ROWS)
+    # A query that selects no repeated node skips the planes, so an insert after
+    # a query must drop the planes' union with them: a repeat bumps a node to 2,
+    # and a new node counting 3 sits in plane 1 alone.
+    tree.insert((A, C, E))
+    assert tree.support((A, C, E)) == 3  # and (A, B, C, D, E, F) once
+    assert tree.support((A,)) == 4  # (A, C, E) twice among nodes counting 1
+    tree.insert((B, D), count=3)
+    assert tree.support((B, D)) == 4 and tree.support((B,)) == 5
+    rows = SINGLE_ROWS + [(A, C, E)] + [(B, D)] * 3
+    for size in range(7):
+        for items in combinations(range(6), size):
+            assert tree.support(items) == count_oracle(rows, items)
 
 
 def test_validate_catches_a_flipped_plane_bit(demo_tree):

@@ -99,7 +99,7 @@ def test_encode_known_values(six_table):
 
 
 def test_encode_unknown_item(six_table):
-    with pytest.raises(UnknownItemError):
+    with pytest.raises(UnknownItemError, match="item 17 is not in this prime table"):
         encode((A, 17), six_table)
 
 
