@@ -30,27 +30,24 @@ class UniverseTooLargeError(ValueError):
 class TransactionDB:
     """An in-memory transaction database, read-only once built.
 
-    transactions holds (tid, itemset) pairs with tids unique and ascending;
-    universe is the ascending tuple of item ids the transactions draw from.
-    tally() is the only place duplicate rows are collapsed.
+    rows holds each transaction's itemset in order, and a transaction's id is
+    its position: transaction t is rows[t - 1]. universe is the ascending
+    tuple of item ids the rows draw from. tally() is the only place duplicate
+    rows are collapsed.
     """
 
-    __slots__ = ("transactions", "universe")
+    __slots__ = ("rows", "universe")
 
-    def __init__(self, transactions: tuple[tuple[int, Itemset], ...], universe: tuple[int, ...]):
+    def __init__(self, rows: tuple[Itemset, ...], universe: tuple[int, ...]):
         allowed = set(universe)
         if list(universe) != sorted(allowed):
             raise ValueError("universe must be strictly ascending")
-        last_tid = 0
-        for tid, items in transactions:
-            if tid <= last_tid:
-                raise ValueError(f"transaction ids must ascend, got {tid} after {last_tid}")
-            last_tid = tid
+        for t, items in enumerate(rows, start=1):
             if not items:
-                raise ValueError(f"transaction {tid} is empty")
+                raise ValueError(f"transaction {t} is empty")
             if not allowed.issuperset(items):
-                raise ValueError(f"transaction {tid} uses items outside the universe")
-        object.__setattr__(self, "transactions", transactions)
+                raise ValueError(f"transaction {t} uses items outside the universe")
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "universe", universe)
 
     def __setattr__(self, name, value):
@@ -62,38 +59,44 @@ class TransactionDB:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.transactions, self.universe) == (other.transactions, other.universe)
+        return (self.rows, self.universe) == (other.rows, other.universe)
 
     def __hash__(self):
-        return hash((self.transactions, self.universe))
+        return hash((self.rows, self.universe))
 
     def __repr__(self):
-        return f"TransactionDB(transactions={self.transactions!r}, universe={self.universe!r})"
+        return f"TransactionDB(rows={self.rows!r}, universe={self.universe!r})"
 
     def __reduce__(self):  # copy and pickle through __init__, not attribute by attribute
-        return self.__class__, (self.transactions, self.universe)
+        return self.__class__, (self.rows, self.universe)
 
     @classmethod
     def from_itemsets(cls, itemsets: Iterable[Iterable[int]],
                       universe: Sequence[int] | None = None) -> "TransactionDB":
-        """Number itemsets 1..n; universe defaults to the union of all items."""
-        rows = tuple((tid, as_itemset(items)) for tid, items in enumerate(itemsets, start=1))
+        """Canonicalize itemsets into rows; transaction t is the t-th itemset.
+
+        universe defaults to the union of all items.
+        """
+        rows = tuple(map(as_itemset, itemsets))
         if universe is None:
-            seen: set[int] = set()
-            for _, items in rows:
-                seen.update(items)
-            universe = sorted(seen)
-        return cls(transactions=rows, universe=tuple(universe))
+            universe = sorted(set().union(*rows))
+        return cls(rows, tuple(universe))
+
+    @property
+    def transactions(self) -> tuple[tuple[int, Itemset], ...]:
+        """(tid, itemset) pairs, built from rows on each read; only bench/run.py reads them."""
+        return tuple(enumerate(self.rows, start=1))
 
     def itemsets(self) -> list[Itemset]:
-        return [items for _, items in self.transactions]
+        """The rows as a list, built on each call; only bench/spans.py calls it."""
+        return list(self.rows)
 
     def __len__(self) -> int:
-        return len(self.transactions)
+        return len(self.rows)
 
     def tally(self) -> Counter[Itemset]:
         """Each distinct itemset with its number of rows, in first-occurrence order."""
-        return Counter(items for _tid, items in self.transactions)
+        return Counter(self.rows)
 
 
 BaselineResult = namedtuple("BaselineResult", "frequent candidates_generated")
@@ -151,7 +154,7 @@ def brute_force_mine(db: TransactionDB, sigma: int) -> BaselineResult:
     n = len(db.universe)
     sig = effective_sigma(sigma)
     index = {item: i for i, item in enumerate(db.universe)}
-    masks = [_mask(items, index) for _, items in db.transactions]
+    masks = [_mask(items, index) for items in db.rows]
     frequent: dict[Itemset, int] = {}
     candidates = 0
     for size in range(1, n + 1):

@@ -21,7 +21,6 @@ import sys
 import time
 import warnings
 from collections import namedtuple
-from math import ceil
 from pathlib import Path
 
 from . import baselines, dataset_io, pc_miner, pc_tree
@@ -75,15 +74,22 @@ ALGORITHMS = {
 def resolve_sigma(text: str, db_size: int) -> int:
     """An integer literal is an absolute count; a fraction f in (0, 1] is ceil(f * |D|).
 
-    The result is the threshold the miners enforce, so that the output shows
-    it: a 0 becomes 1, with baselines.effective_sigma's warning.
+    The product is taken exactly, on the digits and the exponent of the
+    decimal text, since binary floats round: 0.07 * 100 is 7.000000000000001
+    there, whose ceil is 8. The result is the threshold the miners enforce,
+    so that the output shows it: a 0 becomes 1, with
+    baselines.effective_sigma's warning.
     """
     try:
         if any(c in text for c in ".eE"):
-            fraction = float(text)
-            if not 0.0 < fraction <= 1.0:
+            # float() checks the syntax, and bounds the exponent before 10 ** is taken.
+            if not 0.0 < float(text) <= 1.0:
                 raise ValueError(f"fractional min-sup must be in (0, 1], got {text}")
-            value = ceil(fraction * db_size)
+            mantissa, _, exponent = text.strip().replace("_", "").lower().partition("e")
+            whole, _, digits = mantissa.partition(".")
+            scale = 10 ** (len(digits) - int(exponent or 0))
+            # float() reads 1.00000000000000000001 as 1.0, so min() does too
+            value = min(-(-int(whole + digits) * db_size // scale), db_size)
         else:
             value = int(text)
     except ValueError as exc:

@@ -29,8 +29,8 @@ def load_transactions(path) -> TransactionDB:
     """Read a whitespace-separated transaction file.
 
     Duplicate ids within a line are collapsed, blank lines are skipped and
-    reported in one aggregate warning, and transaction ids run 1..n in file
-    order over the lines that were kept.
+    reported in one aggregate warning, and the kept lines are the rows in
+    file order, so a transaction's id is its position among them.
 
     Each distinct line is parsed once: a line whose exact text was seen
     before reuses that line's itemset, so heavily duplicated files pay for
@@ -61,7 +61,7 @@ def load_transactions(path) -> TransactionDB:
     if skipped:
         warnings.warn(f"{path}: skipped {skipped} empty transaction line(s)", stacklevel=2)
     # The rows are canonical already, so from_itemsets would only redo as_itemset.
-    return TransactionDB(tuple(enumerate(rows, start=1)), tuple(sorted(universe)))
+    return TransactionDB(tuple(rows), tuple(sorted(universe)))
 
 
 class SyntheticSpec(namedtuple("SyntheticSpec", "num_transactions num_items density seed")):
@@ -119,7 +119,8 @@ def generate_synthetic(spec: SyntheticSpec) -> TransactionDB:
         items = tuple(i for i in range(spec.num_items) if rng.next_u64() < threshold)
         if items:
             rows.append(items)
-    return TransactionDB.from_itemsets(rows, universe=range(spec.num_items))
+    # Each row is ascending and duplicate-free already, so from_itemsets would only redo as_itemset.
+    return TransactionDB(tuple(rows), tuple(range(spec.num_items)))
 
 
 # One mining run, as a row of the stats CSV: its fields in STATS_HEADER's order.

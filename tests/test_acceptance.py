@@ -124,7 +124,7 @@ def test_criterion_1_golden_encoding():
     with criterion(1, "demo database reproduces the frozen value column"):
         db = load_transactions(DEMO_PATH)
         table = build_prime_table(db.universe)
-        values = [encode(items, table) for _, items in db.transactions]
+        values = [encode(items, table) for items in db.rows]
         assert values == [2310, 2730, 66, 770, 455, 910, 70, 455]
 
 
@@ -172,7 +172,7 @@ def test_criterion_5a_invariants_over_a_soak():
         for spec in SOAK_SPECS:
             db = generate_synthetic(spec)
             tree = PCTree(build_prime_table(db.universe))
-            for _, items in db.transactions:
+            for items in db.rows:
                 tree.insert(items)
                 total += 1
                 problems = tree.validate(deep=False)
@@ -188,7 +188,7 @@ def test_criterion_5b_support_spot_checks():
             tree = build_tree(db)
             table = tree.prime_table
             index = {item: i for i, item in enumerate(db.universe)}
-            masks = [sum(1 << index[i] for i in items) for items in db.itemsets()]
+            masks = [sum(1 << index[i] for i in items) for items in db.rows]
             rng = random.Random(spec.seed * 31)
             for _ in range(1000):
                 size = rng.randint(1, min(6, len(db.universe)))

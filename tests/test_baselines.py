@@ -23,15 +23,13 @@ A, B, C, D, E, F = range(6)
 
 
 def test_transaction_db_validation():
+    with pytest.raises(ValueError, match="transaction 2 is empty"):
+        TransactionDB(rows=((0,), ()), universe=(0,))
+    with pytest.raises(ValueError, match="transaction 1 uses items outside"):
+        TransactionDB(rows=((5,),), universe=(0, 1))
     with pytest.raises(ValueError):
-        TransactionDB(transactions=((1, ()),), universe=(0,))
-    with pytest.raises(ValueError):
-        TransactionDB(transactions=((1, (0,)), (1, (0,))), universe=(0,))
-    with pytest.raises(ValueError):
-        TransactionDB(transactions=((1, (5,)),), universe=(0, 1))
-    with pytest.raises(ValueError):
-        TransactionDB(transactions=(), universe=(1, 0))
-    db = TransactionDB(transactions=((1, (0,)),), universe=(0, 1))
+        TransactionDB(rows=(), universe=(1, 0))
+    db = TransactionDB(rows=((0,),), universe=(0, 1))
     with pytest.raises(AttributeError):  # read-only once built
         db.universe = (0,)
     assert copy.deepcopy(db) == db and hash(copy.copy(db)) == hash(db)
@@ -46,9 +44,12 @@ def test_tally_keeps_first_occurrence_order_and_every_row():
 
 def test_from_itemsets_assigns_tids_and_universe():
     db = TransactionDB.from_itemsets([(2, 0), (1,)])
-    assert db.transactions == ((1, (0, 2)), (2, (1,)))
+    assert db.rows == ((0, 2), (1,))
     assert db.universe == (0, 1, 2)
     assert len(db) == 2
+    # The views bench/run.py and bench/spans.py read: a tid is a 1-based position.
+    assert db.transactions == tuple(enumerate(db.rows, start=1)) == ((1, (0, 2)), (2, (1,)))
+    assert db.itemsets() == list(db.rows)
 
 
 def test_brute_force_single_transaction():
@@ -157,7 +158,7 @@ def small_databases(draw):
 def repeated_databases(draw):
     """A small database whose rows each occur 1 to 4 times, shuffled."""
     db = draw(small_databases())
-    rows = [items for items in db.itemsets()
+    rows = [items for items in db.rows
             for _ in range(draw(st.integers(min_value=1, max_value=4)))]
     return TransactionDB.from_itemsets(draw(st.permutations(rows)), universe=db.universe)
 

@@ -42,6 +42,8 @@ def test_resolve_sigma():
     assert resolve_sigma("1.0", 8) == 8
     assert resolve_sigma("1", 8) == 1  # integer literal stays absolute
     assert resolve_sigma("1e-1", 10) == 1
+    assert resolve_sigma("0.07", 100) == 7  # 0.07 * 100 is 7.000000000000001 in floats
+    assert resolve_sigma("0.29", 100) == 29
     with pytest.raises(ValueError):
         resolve_sigma("1.5", 8)
     with pytest.raises(ValueError):

@@ -26,26 +26,25 @@ def write_file(tmp_path, text):
 
 def test_load_basic(tmp_path):
     db = load_transactions(write_file(tmp_path, "1 2 5\n1 2\n"))
-    assert db.transactions == ((1, (1, 2, 5)), (2, (1, 2)))
+    assert db.rows == ((1, 2, 5), (1, 2))
     assert db.universe == (1, 2, 5)
 
 
 def test_load_dedupes_within_a_line(tmp_path):
     db = load_transactions(write_file(tmp_path, "3 3 3\n"))
-    assert db.transactions == ((1, (3,)),)
+    assert db.rows == ((3,),)
 
 
 def test_load_skips_blank_lines_with_a_counted_warning(tmp_path):
     path = write_file(tmp_path, "1 2\n\n   \n3\n")
     with pytest.warns(UserWarning, match="2 empty"):
         db = load_transactions(path)
-    assert [items for _, items in db.transactions] == [(1, 2), (3,)]
-    assert [tid for tid, _ in db.transactions] == [1, 2]
+    assert db.rows == ((1, 2), (3,))
 
 
 def test_load_accepts_tabs(tmp_path):
     db = load_transactions(write_file(tmp_path, "1\t2\t5\n"))
-    assert db.transactions == ((1, (1, 2, 5)),)
+    assert db.rows == ((1, 2, 5),)
 
 
 def test_load_reports_bad_tokens_with_line_numbers(tmp_path):
@@ -65,12 +64,14 @@ def test_load_repeated_lines_gives_every_row(tmp_path):
     db = load_transactions(write_file(tmp_path, text))
     assert db == TransactionDB.from_itemsets(rows)
     assert db.universe == (1, 2, 3, 5)
-    assert [tid for tid, _ in db.transactions] == list(range(1, len(rows) + 1))
+    # Each repeat of a line's text holds the very tuple that its first copy parsed to.
+    first = {}
+    assert all(first.setdefault(row, items) is items for row, items in zip(rows, db.rows))
 
 
 def test_load_canonicalizes_each_spelling_of_a_row(tmp_path):
     db = load_transactions(write_file(tmp_path, "2 1\n1 2\n2 1\n1  2 2\n"))
-    assert [items for _, items in db.transactions] == [(1, 2)] * 4
+    assert db.rows == ((1, 2),) * 4
 
 
 def test_load_counts_every_repeated_blank_line(tmp_path):
@@ -79,7 +80,7 @@ def test_load_counts_every_repeated_blank_line(tmp_path):
         warnings.simplefilter("always")
         db = load_transactions(path)
     assert [str(w.message) for w in caught] == [f"{path}: skipped 3 empty transaction line(s)"]
-    assert db.transactions == ((1, (1, 2)), (2, (1, 2)))
+    assert db.rows == ((1, 2), (1, 2))
 
 
 def test_load_reports_the_line_of_a_bad_token_after_repeats(tmp_path):
@@ -104,7 +105,7 @@ def test_load_missing_file(tmp_path):
 
 def test_demo_file_reproduces_golden_values(demo_db):
     table = build_prime_table(demo_db.universe)
-    values = [encode(items, table) for _, items in demo_db.transactions]
+    values = [encode(items, table) for items in demo_db.rows]
     assert values == [2310, 2730, 66, 770, 455, 910, 70, 455]
 
 
@@ -129,7 +130,7 @@ def test_synthetic_spec_validation():
 
 def test_synthetic_density_one_is_all_items():
     db = generate_synthetic(SyntheticSpec(10, 5, 1.0, seed=3))
-    assert all(items == (0, 1, 2, 3, 4) for _, items in db.transactions)
+    assert all(items == (0, 1, 2, 3, 4) for items in db.rows)
     assert len(db) == 10
 
 
@@ -143,14 +144,14 @@ def test_synthetic_is_deterministic_per_seed():
 def test_synthetic_frozen_prefix():
     """The generator's output stream is a contract; freeze one sample."""
     db = generate_synthetic(SyntheticSpec(4, 6, 0.5, seed=7))
-    assert [items for _, items in db.transactions] == [
-        (0, 1, 4, 5), (0, 1, 2, 3, 4), (5,), (3, 4, 5)]
+    assert db.rows == (
+        (0, 1, 4, 5), (0, 1, 2, 3, 4), (5,), (3, 4, 5))
 
 
 def test_synthetic_transactions_are_never_empty():
     db = generate_synthetic(SyntheticSpec(200, 8, 0.15, seed=5))
     assert len(db) == 200
-    assert all(items for _, items in db.transactions)
+    assert all(items for items in db.rows)
     assert db.universe == tuple(range(8))
 
 

@@ -297,7 +297,7 @@ def test_foreign_or_squared_primes_support_nothing(demo_db, demo_tree, value, it
     distinct = set(items)
     if distinct <= set(range(6)):
         assert demo_tree.support(items) == demo_tree.support(sorted(distinct)) == count_oracle(
-            demo_db.itemsets(), distinct)
+            demo_db.rows, distinct)
     else:
         assert demo_tree.support(items) == 0
 
@@ -353,7 +353,7 @@ def test_support_matches_raw_count_exhaustively(spec):
     db = generate_synthetic(spec)
     tree = build_tree(db)
     table = tree.prime_table
-    raw = db.itemsets()
+    raw = db.rows
     for k in range(1, len(db.universe) + 1):
         for items in combinations(db.universe, k):
             assert tree.support(items) == tree.walk_support(encode(items, table)) == count_oracle(
@@ -364,7 +364,7 @@ def test_support_matches_raw_count_random_12_items():
     db = generate_synthetic(SyntheticSpec(64, 12, 0.4, seed=15))
     tree = build_tree(db)
     table = tree.prime_table
-    raw = db.itemsets()
+    raw = db.rows
     rng = random.Random(99)
     for _ in range(500):
         items = tuple(sorted(rng.sample(db.universe, rng.randint(1, 6))))
@@ -375,7 +375,7 @@ def test_support_matches_raw_count_random_12_items():
 def test_invariants_hold_after_every_insertion():
     db = generate_synthetic(SyntheticSpec(100, 9, 0.35, seed=16))
     tree = PCTree(build_prime_table(db.universe))
-    for _, items in db.transactions:
+    for items in db.rows:
         tree.insert(items)
         assert tree.validate(deep=False) == []
     assert tree.validate() == []
@@ -386,9 +386,8 @@ def test_queries_are_insertion_order_independent(demo_db):
     probes = [c for k in range(1, 7) for c in combinations(range(6), k)]
     table = reference.prime_table
     expected = {p: reference.support(p) for p in probes}
-    itemsets = demo_db.itemsets()
     for seed in range(6):
-        shuffled = itemsets[:]
+        shuffled = list(demo_db.rows)
         random.Random(seed).shuffle(shuffled)
         tree = build_tree(TransactionDB.from_itemsets(shuffled, universe=demo_db.universe))
         assert tree.validate() == []
@@ -451,7 +450,7 @@ def test_support_index_matches_walk_and_raw_count(db, data):
     assert (index.rows, index.counts) == (tree.index.rows, tree.index.counts)
     for items in queries:
         assert index.support(items) == tree.support(items) == tree.walk_support(
-            encode(items, table)) == count_oracle(db.itemsets(), items)
+            encode(items, table)) == count_oracle(db.rows, items)
         above = sum(1 << n.birth for n in tree._nodes if items <= set(n.items))
         below = sum(1 << n.birth for n in tree._nodes if items >= set(n.items))  # the root too
         for either in (index, tree.index):
@@ -505,7 +504,7 @@ def test_tree_invariants_property(db):
     # every transaction's value divides some head: heads cover the database
     table = tree.prime_table
     heads = tree.heads()
-    for items in db.itemsets():
+    for items in db.rows:
         v = encode(items, table)
         assert any(h % v == 0 for h in heads)
 
@@ -554,7 +553,7 @@ def reference_shape(db):
     table = build_prime_table(db.universe)
     root = RefNode(None, 0, None)
     nodes = {}
-    for _, items in db.transactions:
+    for items in db.rows:
         value = encode(items, table)
         if value in nodes:
             nodes[value].local_count += 1
@@ -629,7 +628,7 @@ def test_wide_prefix_matches_reference_and_apriori():
     # 2,000 rows of the wide workload's database: the first inserts meet a few
     # heads, the later ones hundreds
     full = generate_synthetic(SyntheticSpec(8000, 60, 0.1, seed=3))
-    db = TransactionDB.from_itemsets(full.itemsets()[:2000], universe=full.universe)
+    db = TransactionDB.from_itemsets(full.rows[:2000], universe=full.universe)
     tree = build_tree(db)
     assert tree_shape(tree) == reference_shape(db)
     assert tree.validate() == []
@@ -667,7 +666,7 @@ def full_shape(tree):
 def row_by_row(db):
     """The tree one plain insert per row gives."""
     tree = PCTree(build_prime_table(db.universe))
-    for _, items in db.transactions:
+    for items in db.rows:
         tree.insert(items)
     return tree
 
@@ -697,7 +696,7 @@ def test_tallied_build_matches_one_insert_per_row(db):
 def test_dense_prefix_inserts_once_per_distinct_itemset(monkeypatch):
     # the first 4,000 rows of the dense workload's database, mostly repeats
     full = generate_synthetic(SyntheticSpec(40000, 12, 0.6, seed=1))
-    db = TransactionDB.from_itemsets(full.itemsets()[:4000], universe=full.universe)
+    db = TransactionDB.from_itemsets(full.rows[:4000], universe=full.universe)
     calls = []
 
     def counted(self, items, count=1, _insert=PCTree.insert):
@@ -707,7 +706,7 @@ def test_dense_prefix_inserts_once_per_distinct_itemset(monkeypatch):
     monkeypatch.setattr(PCTree, "insert", counted)
     tree = build_tree(db)
     monkeypatch.undo()
-    distinct = set(db.itemsets())
+    distinct = set(db.rows)
     assert len(calls) == len(distinct) == tree.node_count < len(db)
     assert sum(calls) == len(db)
     assert_same_as_row_by_row(db, tree)
