@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter, namedtuple
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable, Sequence
 
 from .prime_codec import Itemset, as_itemset
@@ -169,20 +169,14 @@ def brute_force_mine(db: TransactionDB, sigma: int) -> BaselineResult:
 def _join_level(level: Sequence[Itemset]) -> list[Itemset]:
     """Join a lexicographically sorted frequent level with itself.
 
-    Two k-itemsets sharing their first k-1 items produce one (k+1)-candidate;
-    sorting makes equal prefixes adjacent, so each pair is visited once.
+    Two k-itemsets sharing their first k-1 items produce one (k+1)-candidate.
+    Sorting makes equal prefixes adjacent, so itertools.groupby on the
+    (k-1)-prefix gathers them, and combinations() of each group's last items
+    visits each pair once, in the order of the level.
     """
-    out = []
-    n = len(level)
-    for i in range(n):
-        a = level[i]
-        prefix = a[:-1]
-        for j in range(i + 1, n):
-            b = level[j]
-            if b[:-1] != prefix:
-                break
-            out.append(a + (b[-1],))
-    return out
+    return [prefix + pair
+            for prefix, group in groupby(level, key=lambda itemset: itemset[:-1])
+            for pair in combinations([itemset[-1] for itemset in group], 2)]
 
 
 def _prune_level(joined: Iterable[Itemset], prev_frequent: set[Itemset]) -> list[Itemset]:

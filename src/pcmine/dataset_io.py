@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import warnings
 from collections import namedtuple
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .baselines import TransactionDB
 from .prime_codec import Itemset, as_itemset
@@ -90,18 +90,14 @@ class SyntheticSpec(namedtuple("SyntheticSpec", "num_transactions num_items dens
         return f"synthetic-{self.num_transactions}x{self.num_items}-d{self.density}-s{self.seed}"
 
 
-class _SplitMix64:
-    """Tiny portable PRNG; the exact stream is part of the generator contract."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+def _splitmix64(seed: int) -> Iterator[int]:
+    """Tiny portable PRNG stream; the exact stream is part of the generator contract."""
+    state = seed & _MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        yield z ^ (z >> 31)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> TransactionDB:
@@ -112,11 +108,11 @@ def generate_synthetic(spec: SyntheticSpec) -> TransactionDB:
     again, so every transaction is non-empty and the output is still a pure
     function of the spec.
     """
-    rng = _SplitMix64(spec.seed)
+    draws = _splitmix64(spec.seed)
     threshold = int(spec.density * 2.0**64)
     rows = []
     while len(rows) < spec.num_transactions:
-        items = tuple(i for i in range(spec.num_items) if rng.next_u64() < threshold)
+        items = tuple(i for i in range(spec.num_items) if next(draws) < threshold)
         if items:
             rows.append(items)
     # Each row is ascending and duplicate-free already, so from_itemsets would only redo as_itemset.

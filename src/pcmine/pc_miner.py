@@ -107,6 +107,11 @@ def mine(tree: PCTree, sigma: int) -> MiningResult:
     runs. A candidate is known frequent when the cover, the index of the
     tops, holds it; it is skipped without a query. Singletons hold no
     candidate, so that check starts with the first frequent candidate.
+    The frequent items are read from the candidate heads, not from the
+    tree's frequency table a second time: each frequent item lies in the
+    head of a node that holds it, candidate_head keeps it there, and the
+    maximal reduction keeps a superset of that reduced head, while a
+    candidate head holds no infrequent item.
     Every frequent itemset is a frequent singleton or a subset of a frequent
     examined candidate, so the frequent family is what the cover's covered()
     yields over the frequent items, and the maximal sets are the tops that
@@ -116,7 +121,7 @@ def mine(tree: PCTree, sigma: int) -> MiningResult:
     """
     sig = effective_sigma(sigma)
     heads = sorted(candidate_head_set(tree, sig))
-    items = sorted(item for item, count in tree.frequency_table.items() if count >= sig)
+    items = sorted(set().union(*heads))  # the frequent items: H holds each of them
     tops = [(item,) for item in items]  # frequent singletons, then frequent examined candidates
     cover = VerticalIndex()  # bit b holds tops[b]
     for top in tops:

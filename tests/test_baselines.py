@@ -32,7 +32,11 @@ def test_transaction_db_validation():
     db = TransactionDB(rows=((0,),), universe=(0, 1))
     with pytest.raises(AttributeError):  # read-only once built
         db.universe = (0,)
+    with pytest.raises(AttributeError, match="cannot delete field 'rows'"):
+        del db.rows
     assert copy.deepcopy(db) == db and hash(copy.copy(db)) == hash(db)
+    assert db != (((0,),), (0, 1)) and db.__eq__(db.rows) is NotImplemented
+    assert repr(db) == "TransactionDB(rows=((0,),), universe=(0, 1))"
 
 
 def test_tally_keeps_first_occurrence_order_and_every_row():

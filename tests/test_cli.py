@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pcmine import cli
+from pcmine import baselines, cli
 from pcmine.baselines import TransactionDB
 from pcmine.cli import (
     EXIT_BROKEN_PIPE,
@@ -171,6 +171,22 @@ def test_compare_detects_a_missing_itemset(capsys, monkeypatch):
     code, out, _ = run(capsys, "compare", "--input", DEMO, "--min-sup", "4")
     assert code == EXIT_MISMATCH
     assert "absent" in out
+
+
+@pytest.mark.parametrize("algo, name", [("apriori", "apriori_mine"),
+                                        ("brute", "brute_force_mine")])
+def test_mine_calls_each_baseline_through_its_module_attribute(capsys, monkeypatch, algo, name):
+    """bench/spans.py traces a baseline by replacing the module attribute; the CLI must see it."""
+    real, calls = getattr(baselines, name), []
+
+    def counting(db, sigma):
+        calls.append(sigma)
+        return real(db, sigma)
+
+    monkeypatch.setattr(baselines, name, counting)
+    code, out, _ = run(capsys, "mine", "--input", DEMO, "--min-sup", "4", "--algo", algo)
+    assert code == EXIT_OK and "frequent itemsets: 11" in out
+    assert calls == [4]
 
 
 def test_bench_writes_stats_csv(tmp_path, capsys):

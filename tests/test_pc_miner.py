@@ -308,6 +308,17 @@ def test_candidate_head_set_is_the_maximal_reduced_transactions(db, data):
     assert candidate_head_set(build_tree(db), sigma) == expected
 
 
+@given(db=st.one_of(databases(), adversarial_databases()), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_frequent_items_are_the_union_of_the_candidate_heads(db, data):
+    """mine() reads its frequent items from H; above the database size both sides are empty."""
+    tree = build_tree(db)
+    sigma = at_most_ten_frequent_items(tree, data.draw(st.integers(1, len(db) + 1)))
+    mined = {item for itemset in mine(tree, sigma).frequent for item in itemset}
+    assert mined == set().union(*candidate_head_set(tree, sigma)) == {
+        item for item, count in tree.frequency_table.items() if count >= sigma}
+
+
 # ------------------------------------------------------------ maximal members
 
 

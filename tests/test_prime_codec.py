@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcmine.pc_tree import PCNode
 from pcmine.prime_codec import (
     ForeignPrimeError,
     UnknownItemError,
@@ -72,6 +73,11 @@ def test_prime_table_is_ascending_and_bijective():
     assert table.prime_for(9) == 5
     assert table.item_for(5) == 9
     assert len(table) == 3 and 9 in table and 4 not in table
+    with pytest.raises(UnknownItemError, match="item 4 is not in this prime table"):
+        table.prime_for(4)
+    assert repr(table) == "PrimeTable(3 items)"
+    # a tree node shows its value, the code of its items in this table
+    assert repr(PCNode(encode((3, 9), table), (3, 9), birth=1)) == "PCNode(10, birth=1)"
 
 
 def test_prime_table_empty_universe():
