@@ -32,13 +32,16 @@ class TransactionDB:
 
     rows holds each transaction's itemset in order, and a transaction's id is
     its position: transaction t is rows[t - 1]. universe is the ascending
-    tuple of item ids the rows draw from. tally() is the only place duplicate
-    rows are collapsed.
+    tuple of item ids the rows draw from. The constructor validates and keeps
+    tuples of what it is given, so a list passed in cannot change the
+    database later and a generator is read once; a tuple is kept as it is.
+    tally() is the only place duplicate rows are collapsed.
     """
 
     __slots__ = ("rows", "universe")
 
-    def __init__(self, rows: tuple[Itemset, ...], universe: tuple[int, ...]):
+    def __init__(self, rows: Iterable[Iterable[int]], universe: Iterable[int]):
+        rows, universe = tuple(map(tuple, rows)), tuple(universe)
         allowed = set(universe)
         if list(universe) != sorted(allowed):
             raise ValueError("universe must be strictly ascending")
@@ -80,7 +83,7 @@ class TransactionDB:
         rows = tuple(map(as_itemset, itemsets))
         if universe is None:
             universe = sorted(set().union(*rows))
-        return cls(rows, tuple(universe))
+        return cls(rows, universe)
 
     @property
     def transactions(self) -> tuple[tuple[int, Itemset], ...]:

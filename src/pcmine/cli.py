@@ -82,14 +82,17 @@ def resolve_sigma(text: str, db_size: int) -> int:
     """
     try:
         if any(c in text for c in ".eE"):
-            # float() checks the syntax, and bounds the exponent before 10 ** is taken.
-            if not 0.0 < float(text) <= 1.0:
-                raise ValueError(f"fractional min-sup must be in (0, 1], got {text}")
             mantissa, _, exponent = text.strip().replace("_", "").lower().partition("e")
             whole, _, digits = mantissa.partition(".")
-            scale = 10 ** (len(digits) - int(exponent or 0))
+            # float() checks the syntax first, then the upper end; the digits
+            # decide positivity, since float() reads 1e-400 as 0.0.
+            if not (float(text) <= 1.0 and int(whole + digits) > 0):
+                raise ValueError(f"fractional min-sup must be in (0, 1], got {text}")
+            # A shift past the length of int(whole + digits) * |D| leaves the
+            # ceil at 1 (0 for an empty database): bound it before 10 ** is taken.
+            shift = min(len(digits) - int(exponent or 0), len(whole + digits) + len(str(db_size)))
             # float() reads 1.00000000000000000001 as 1.0, so min() does too
-            value = min(-(-int(whole + digits) * db_size // scale), db_size)
+            value = min(-(-int(whole + digits) * db_size // 10 ** shift), db_size)
         else:
             value = int(text)
     except ValueError as exc:
@@ -193,7 +196,7 @@ def cmd_bench(args) -> int:
         for algo in algos:
             run = ALGORITHMS[algo](db, sigma)
             rows.append(dataset_io.StatsRow(
-                dataset=name, algorithm=algo, sigma=sigma,
+                dataset=name, algo=algo, min_sup=sigma,
                 num_frequent=len(run.frequent), num_candidates=run.candidates,
                 runtime_ms=round(run.mine_ms, 3)))
     if args.stats_out:

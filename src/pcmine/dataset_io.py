@@ -61,7 +61,7 @@ def load_transactions(path) -> TransactionDB:
     if skipped:
         warnings.warn(f"{path}: skipped {skipped} empty transaction line(s)", stacklevel=2)
     # The rows are canonical already, so from_itemsets would only redo as_itemset.
-    return TransactionDB(tuple(rows), tuple(sorted(universe)))
+    return TransactionDB(rows, sorted(universe))
 
 
 class SyntheticSpec(namedtuple("SyntheticSpec", "num_transactions num_items density seed")):
@@ -116,11 +116,11 @@ def generate_synthetic(spec: SyntheticSpec) -> TransactionDB:
         if items:
             rows.append(items)
     # Each row is ascending and duplicate-free already, so from_itemsets would only redo as_itemset.
-    return TransactionDB(tuple(rows), tuple(range(spec.num_items)))
+    return TransactionDB(rows, range(spec.num_items))
 
 
-# One mining run, as a row of the stats CSV: its fields in STATS_HEADER's order.
-StatsRow = namedtuple("StatsRow", "dataset algorithm sigma num_frequent num_candidates runtime_ms")
+# One mining run, as a row of the stats CSV: its fields are the columns of STATS_HEADER.
+StatsRow = namedtuple("StatsRow", STATS_HEADER)
 
 
 def write_stats_csv(rows: Iterable[StatsRow], stream) -> None:

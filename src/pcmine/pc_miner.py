@@ -14,10 +14,14 @@ distinct candidate's support is evaluated at most once, which is where the
 saving over level-wise joins comes from on databases whose transactions
 overlap heavily.
 
-Known frequent means covered. The frequent singletons and the frequent
-examined candidates, the tops, are kept in one VerticalIndex, the cover,
-one bit each. A head or candidate that a top holds is settled without a
-query. After the walk, the cover's covered() enumerates the frequent family
+Known frequent means covered. The frequent examined candidates, the tops,
+are kept in one VerticalIndex, the cover, one bit each. A head or candidate
+that a top holds is settled without a query. So no top holds another, and
+since every frequent itemset lies in a candidate head, the tops are exactly
+the maximal frequent itemsets of two or more items, the fact the top-down
+half of Pincer-Search (Lin & Kedem, EDBT 1998) is built on; the frequent
+items that no top holds are the maximal singletons. After the walk those
+singletons join the cover, and its covered() enumerates the frequent family
 depth first, each itemset once, so the cost of the family is linear in its
 size; no set of every subset of every top is built.
 
@@ -105,34 +109,32 @@ def mine(tree: PCTree, sigma: int) -> MiningResult:
     reaches it: the k-subsets of the candidate heads that no top holds, head
     by head in sorted order, then sorted, which merges the heads' ascending
     runs. A candidate is known frequent when the cover, the index of the
-    tops, holds it; it is skipped without a query. Singletons hold no
-    candidate, so that check starts with the first frequent candidate.
+    tops, holds it; it is skipped without a query. The cover is empty until
+    the first frequent candidate, so until then no level reads it.
     The frequent items are read from the candidate heads, not from the
     tree's frequency table a second time: each frequent item lies in the
     head of a node that holds it, candidate_head keeps it there, and the
     maximal reduction keeps a superset of that reduced head, while a
     candidate head holds no infrequent item.
-    Every frequent itemset is a frequent singleton or a subset of a frequent
-    examined candidate, so the frequent family is what the cover's covered()
-    yields over the frequent items, and the maximal sets are the tops that
-    no other top holds. Supports for the result map are backfilled with one
-    fresh query per frequent itemset after the walk; those do not count as
-    examinations.
+    The tops are the maximal frequent itemsets of two or more items, and the
+    frequent items that no top holds are the maximal singletons. Every
+    frequent itemset is one of those singletons or a subset of a top, so
+    once the singletons join the cover, the frequent family is what its
+    covered() yields over the frequent items. Supports for the result map
+    are backfilled with one fresh query per frequent itemset after the walk;
+    those do not count as examinations.
     """
     sig = effective_sigma(sigma)
     heads = sorted(candidate_head_set(tree, sig))
     items = sorted(set().union(*heads))  # the frequent items: H holds each of them
-    tops = [(item,) for item in items]  # frequent singletons, then frequent examined candidates
+    tops: list[Itemset] = []  # the frequent examined candidates
     cover = VerticalIndex()  # bit b holds tops[b]
-    for top in tops:
-        cover.add(top, 1)
-    singles = len(tops)
     examined: list[Itemset] = []
     for k in range(max(map(len, heads), default=0), 1, -1):
         # Only a frequent candidate of a larger level covers a head or a
-        # candidate here: the heads are an antichain, a singleton holds
-        # neither, and a frequent candidate of this level holds only itself.
-        covering = len(tops) > singles
+        # candidate here: the heads are an antichain, and a frequent
+        # candidate of this level holds only itself.
+        covering = bool(tops)
         level = dict.fromkeys(chain.from_iterable(combinations(head, k) for head in heads
                                                   if not (covering and cover.supersets(head))))
         for candidate in sorted(level):
@@ -143,8 +145,9 @@ def mine(tree: PCTree, sigma: int) -> MiningResult:
                 tops.append(candidate)
                 cover.add(candidate, 1)
         del level  # build the next level only once this one is released
-    del heads  # and release the heads before the result is built
+    singles = [(item,) for item in items if not cover.supersets((item,))]
+    for single in singles:
+        cover.add(single, 1)
     supports = {f: tree.support(f) for f in cover.covered(items)}
-    maximal = tuple(sorted(  # the tops that no other top holds
-        top for bit, top in enumerate(tops) if cover.supersets(top) == 1 << bit))
-    return MiningResult(frequent=supports, maximal=maximal, examined=tuple(examined), sigma=sig)
+    return MiningResult(frequent=supports, maximal=tuple(sorted(tops + singles)),
+                        examined=tuple(examined), sigma=sig)

@@ -37,6 +37,17 @@ def test_transaction_db_validation():
     assert copy.deepcopy(db) == db and hash(copy.copy(db)) == hash(db)
     assert db != (((0,),), (0, 1)) and db.__eq__(db.rows) is NotImplemented
     assert repr(db) == "TransactionDB(rows=((0,),), universe=(0, 1))"
+    # Lists and generators are kept as the tuples that were validated.
+    rows = [(0,), [0, 1]]
+    listed = TransactionDB(rows=rows, universe=[0, 1])
+    rows.append((7,))
+    rows[1].append(7)
+    assert listed == TransactionDB(rows=((0,), (0, 1)), universe=(0, 1))
+    assert hash(listed) == hash(TransactionDB(rows=((0,), (0, 1)), universe=(0, 1)))
+    generated = TransactionDB(rows=((0,) for _ in range(3)), universe=iter((0, 1)))
+    assert len(generated) == 3 and generated.rows == ((0,),) * 3 and generated.universe == (0, 1)
+    with pytest.raises(ValueError, match="transaction 2 uses items outside"):
+        TransactionDB(rows=(row for row in [[0], [7]]), universe=[0, 1])
 
 
 def test_tally_keeps_first_occurrence_order_and_every_row():

@@ -44,6 +44,15 @@ def test_resolve_sigma():
     assert resolve_sigma("1e-1", 10) == 1
     assert resolve_sigma("0.07", 100) == 7  # 0.07 * 100 is 7.000000000000001 in floats
     assert resolve_sigma("0.29", 100) == 29
+    # Positive fractions below the float range: float() reads them as 0.0.
+    assert resolve_sigma("1e-400", 8) == 1
+    assert resolve_sigma("0." + "0" * 300 + "1", 8) == 1
+    assert resolve_sigma("1e-999999999", 10**12) == 1  # the shift is bounded before 10 **
+    with pytest.warns(UserWarning, match="threshold 0 treated as 1"):
+        assert resolve_sigma("1e-400", 0) == 1
+    for text in ("-1e-400", "0e-400", "0.0", "-0.0"):
+        with pytest.raises(ValueError, match=r"must be in \(0, 1\]"):
+            resolve_sigma(text, 8)
     with pytest.raises(ValueError):
         resolve_sigma("1.5", 8)
     with pytest.raises(ValueError):

@@ -170,6 +170,9 @@ def test_mine_matches_brute_force_property(db, sigma):
     brute = brute_force_mine(db, sigma)
     assert result.frequent == brute.frequent
     assert result.maximal == tuple(sorted(maximal_frequent(brute.frequent)))
+    # The frequent examined candidates are the maximal sets of two or more items.
+    assert ({c for c in result.examined if c in result.frequent}
+            == {m for m in result.maximal if len(m) > 1})
 
 
 def test_one_long_transaction_is_its_own_only_candidate_and_maximal_set():
