@@ -22,7 +22,6 @@ from .dataset_io import (
     TransactionParseError,
     generate_synthetic,
     load_transactions,
-    write_stats,
 )
 from .pc_miner import (
     MiningResult,
@@ -78,5 +77,4 @@ __all__ = [
     "load_transactions",
     "maximal_frequent",
     "mine",
-    "write_stats",
 ]

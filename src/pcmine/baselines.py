@@ -5,6 +5,8 @@ collapsed, which build_tree reads too: it counts each distinct row once,
 weighted by its multiplicity. Brute force scans the raw rows and reads
 nothing the other two miners share, so it is the independent check: a wrong
 tally makes pcminer and Apriori agree with each other and differ from it.
+Brute force checks its guards (brute_force_refusal) before it counts
+anything, so a refusal costs nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ BRUTE_FORCE_MAX_WORK = 2**25
 
 
 class UniverseTooLargeError(ValueError):
-    """Exhaustive enumeration refused: the items or the subset-row work exceed a guard."""
+    """A miner refused exponential work before starting it.
+
+    Brute force raises it when the items or the subset-row work exceed a
+    guard, and pc_miner.mine() when the candidate heads bound its walk above
+    pc_miner.WALK_MAX_WORK. The CLI exits 1 on it, and compare prints it as
+    a note and cross-checks the miners that ran.
+    """
 
 
 class TransactionDB:

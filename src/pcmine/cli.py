@@ -1,7 +1,17 @@
 """Command-line front end: mine one database, cross-check miners, sweep thresholds.
 
+Each subcommand takes only the flags it reads: --min-sup belongs to mine and
+compare, --quiet to mine, and bench writes its CSV to stdout alone.
+
+A miner refuses exponential work by raising baselines.UniverseTooLargeError,
+brute force past its item or subset-row guard and pcminer past its walk
+guard; the CLI asks no guard itself. mine exits 1 on a refusal; compare
+prints it as a `note:` line and cross-checks the miners that ran, in
+ALGORITHMS order, against the first of them.
+
 Exit codes: 0 on success (and on EQUAL for compare), 1 when compare finds a
-semantic difference or a miner refuses the input, 2 on usage and parse errors,
+semantic difference or runs fewer than two miners, or a miner refuses the
+input, 2 on usage and parse errors,
 141 (128 + SIGPIPE, what a shell shows for a writer killed by a closed pipe)
 when the reader of stdout goes away first, as `pcmine mine ... | head -1`
 does; that exit prints nothing. A library warning, such as a threshold of 0
@@ -78,21 +88,35 @@ def resolve_sigma(text: str, db_size: int) -> int:
     decimal text, since binary floats round: 0.07 * 100 is 7.000000000000001
     there, whose ceil is 8. The result is the threshold the miners enforce,
     so that the output shows it: a 0 becomes 1, with
-    baselines.effective_sigma's warning.
+    baselines.effective_sigma's warning. A fraction of more than 4,300
+    significant digits is refused.
     """
     try:
         if any(c in text for c in ".eE"):
+            at_most_one = float(text) <= 1.0  # checks the syntax first
             mantissa, _, exponent = text.strip().replace("_", "").lower().partition("e")
-            whole, _, digits = mantissa.partition(".")
-            # float() checks the syntax first, then the upper end; the digits
-            # decide positivity, since float() reads 1e-400 as 0.0.
-            if not (float(text) <= 1.0 and int(whole + digits) > 0):
+            whole, _, fraction = mantissa.partition(".")
+            # Zeros on either end stay out of int(), which reads at most 4,300
+            # digits (sys.get_int_max_str_digits).
+            digits = (whole + fraction).lstrip("+-0")
+            kept = digits.rstrip("0")
+            if len(kept) > 4300:
+                raise ValueError("more than 4300 significant digits")
+            numerator = int(kept or "0") * 10 ** (len(digits) - len(kept))
+            # The digits decide positivity, since float() reads 1e-400 as 0.0.
+            if not (at_most_one and numerator > 0 and not mantissa.startswith("-")):
                 raise ValueError(f"fractional min-sup must be in (0, 1], got {text}")
-            # A shift past the length of int(whole + digits) * |D| leaves the
-            # ceil at 1 (0 for an empty database): bound it before 10 ** is taken.
-            shift = min(len(digits) - int(exponent or 0), len(whole + digits) + len(str(db_size)))
+            # A shift past the length of the mantissa times |D| leaves the ceil
+            # at 1 (0 for an empty database): bound it before 10 ** is taken.
+            # A fraction of at most 1 has an exponent below the bound. A longer
+            # exponent is past it, and so are its leading digits, one more than
+            # the bound has, which are all that int() reads.
+            bound = len(whole + fraction) + len(str(db_size))
+            power = exponent.lstrip("+-").lstrip("0")[:len(str(bound)) + 1]
+            sign = -1 if exponent.startswith("-") else 1
+            shift = min(len(fraction) - sign * int(power or "0"), bound)
             # float() reads 1.00000000000000000001 as 1.0, so min() does too
-            value = min(-(-int(whole + digits) * db_size // 10 ** shift), db_size)
+            value = min(-(-numerator * db_size // 10 ** shift), db_size)
         else:
             value = int(text)
     except ValueError as exc:
@@ -156,23 +180,24 @@ def _first_difference(reference: dict, other: dict):
 def cmd_compare(args) -> int:
     name, db = _load_db(args)
     sigma = resolve_sigma(args.min_sup, len(db))
-    algos = ["pcminer", "apriori"]
-    refusal = baselines.brute_force_refusal(db)
-    if refusal is not None:
-        print(f"note: brute force skipped ({refusal})")
-    else:
-        algos.append("brute")
-    outcomes = {algo: ALGORITHMS[algo](db, sigma) for algo in algos}
-    reference = outcomes["pcminer"].frequent
-    for algo in algos[1:]:
-        diff = _first_difference(reference, outcomes[algo].frequent)
+    frequent = {}
+    for algo, runner in ALGORITHMS.items():
+        try:
+            frequent[algo] = runner(db, sigma).frequent
+        except baselines.UniverseTooLargeError as exc:
+            print(f"note: {algo} skipped ({exc})")
+    if len(frequent) < 2:  # nothing was cross-checked
+        return EXIT_MISMATCH
+    (first, reference), *others = frequent.items()
+    for algo, other in others:
+        diff = _first_difference(reference, other)
         if diff is not None:
             itemset, ours, theirs = diff
             print(f"DIFFER on {name}: itemset {_fmt(itemset)}: "
-                  f"pcminer={_fmt_support(ours)} {algo}={_fmt_support(theirs)}")
+                  f"{first}={_fmt_support(ours)} {algo}={_fmt_support(theirs)}")
             return EXIT_MISMATCH
     print(f"EQUAL on {name}: {len(reference)} frequent itemsets at min_sup {sigma} "
-          f"({', '.join(algos)})")
+          f"({', '.join(frequent)})")
     return EXIT_OK
 
 
@@ -199,12 +224,7 @@ def cmd_bench(args) -> int:
                 dataset=name, algo=algo, min_sup=sigma,
                 num_frequent=len(run.frequent), num_candidates=run.candidates,
                 runtime_ms=round(run.mine_ms, 3)))
-    if args.stats_out:
-        dataset_io.write_stats(rows, args.stats_out)
-        if not args.quiet:
-            print(f"wrote {len(rows)} rows to {args.stats_out}")
-    else:
-        dataset_io.write_stats_csv(rows, sys.stdout)
+    dataset_io.write_stats_csv(rows, sys.stdout)
     return EXIT_OK
 
 
@@ -213,32 +233,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pcmine",
         description="Frequent-itemset mining on prime-coded transactions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    p_mine = sub.add_parser("mine", help="mine one database with one algorithm")
+    p_cmp = sub.add_parser("compare", help="cross-check the miners on one database")
+    p_bench = sub.add_parser("bench", help="sweep thresholds and write a stats CSV to stdout")
+    for p in (p_mine, p_cmp, p_bench):
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--input", help="transaction file, one transaction per line")
         source.add_argument("--synthetic", metavar="N,ITEMS,DENSITY,SEED",
                             help="generate a reproducible random database instead")
+    for p in (p_mine, p_cmp):
         p.add_argument("--min-sup", default="1",
                        help="absolute count, or a fraction in (0,1] of the database size")
-        p.add_argument("--quiet", action="store_true", help="suppress per-itemset output")
 
-    p_mine = sub.add_parser("mine", help="mine one database with one algorithm")
-    add_common(p_mine)
     p_mine.add_argument("--algo", choices=sorted(ALGORITHMS), default="pcminer")
+    p_mine.add_argument("--quiet", action="store_true", help="suppress per-itemset output")
     p_mine.set_defaults(func=cmd_mine)
-
-    p_cmp = sub.add_parser("compare", help="cross-check the miners on one database")
-    add_common(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
-
-    p_bench = sub.add_parser("bench", help="sweep thresholds and emit stats CSV")
-    add_common(p_bench)
     p_bench.add_argument("--algo", default="pcminer,apriori",
                          help="comma-separated algorithms to run")
     p_bench.add_argument("--sigmas", required=True,
                          help="comma-separated thresholds, absolute or fractional")
-    p_bench.add_argument("--stats-out", help="CSV destination (stdout when omitted)")
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -129,8 +129,3 @@ def write_stats_csv(rows: Iterable[StatsRow], stream) -> None:
     writer.writerow(STATS_HEADER)
     writer.writerows(rows)
 
-
-def write_stats(rows: Iterable[StatsRow], path) -> None:
-    """Write the stats CSV to a file."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_stats_csv(rows, fh)

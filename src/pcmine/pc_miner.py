@@ -30,6 +30,16 @@ k-subsets come from combinations() in lexicographic order, and a dict built
 over them all drops the repeats while keeping that order. So the level's
 sort merges one ascending run per head instead of sorting hash order.
 
+The walk is exponential in the length of the candidate heads, so mine()
+refuses work before it starts. Head h holds 2**|h| - |h| - 1 subsets of
+two or more items, and the sum over H bounds every level, so it bounds the
+candidates examined. Every frequent itemset of two or more items lies in a
+candidate head, so the same sum caps the frequent family and its backfill.
+Above WALK_MAX_WORK, mine() raises UniverseTooLargeError after the build and
+the head set, before the first level; the CLI exits 1, and compare notes the
+refusal and cross-checks the other miners. The trace costs about 94 bytes a
+candidate, so the guard caps it near 800 MB.
+
 Each evaluation is one PCTree.support() query on the candidate itemset,
 which the tree answers from its vertical bit index without encoding the
 candidate; the paper's pruned tree walk, PCTree.walk_support(), takes the
@@ -43,11 +53,16 @@ from collections import namedtuple
 from itertools import chain, combinations
 from typing import Iterable
 
-from .baselines import effective_sigma
+from .baselines import UniverseTooLargeError, effective_sigma
 from .pc_tree import PCTree, VerticalIndex
 from .prime_codec import Itemset
 # Not called here; bench/spans.py wraps pc_miner.decode and pc_miner.encode by name.
 from .prime_codec import decode, encode  # noqa: F401
+
+# Every benchmark database bounds its walk at 190,654 candidates or fewer, and
+# wide-build's database at sigma 0.02 at 2,587,947; the smallest input known to
+# exhaust memory in the walk bounds it at 2.39e8.
+WALK_MAX_WORK = 2**23
 
 
 class MiningResult(namedtuple("MiningResult", "frequent maximal examined sigma")):
@@ -123,9 +138,19 @@ def mine(tree: PCTree, sigma: int) -> MiningResult:
     covered() yields over the frequent items. Supports for the result map
     are backfilled with one fresh query per frequent itemset after the walk;
     those do not count as examinations.
+    Raises UniverseTooLargeError, before the first level, when the walk
+    bound, the sum of 2**|h| - |h| - 1 over the candidate heads h, exceeds
+    WALK_MAX_WORK (see the module docstring).
     """
     sig = effective_sigma(sigma)
     heads = sorted(candidate_head_set(tree, sig))
+    # An exact int: a head can hold thousands of items, past any float.
+    bound = sum(2 ** len(head) - len(head) - 1 for head in heads)
+    if bound > WALK_MAX_WORK:
+        raise UniverseTooLargeError(
+            f"the candidate walk is capped: its {len(heads)}-head candidate set holds "
+            f"2**{bound.bit_length() - 1} or more subsets of two or more items, "
+            f"past the {WALK_MAX_WORK}-candidate walk guard")
     items = sorted(set().union(*heads))  # the frequent items: H holds each of them
     tops: list[Itemset] = []  # the frequent examined candidates
     cover = VerticalIndex()  # bit b holds tops[b]

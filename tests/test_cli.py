@@ -1,14 +1,19 @@
 """End-to-end CLI tests, run in-process through main(), and as `python -m pcmine` children."""
 
+import contextlib
 import csv
+import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from pcmine import baselines, cli
+from pcmine import baselines, cli, pc_miner
 from pcmine.baselines import TransactionDB
 from pcmine.cli import (
     EXIT_BROKEN_PIPE,
@@ -48,6 +53,9 @@ def test_resolve_sigma():
     assert resolve_sigma("1e-400", 8) == 1
     assert resolve_sigma("0." + "0" * 300 + "1", 8) == 1
     assert resolve_sigma("1e-999999999", 10**12) == 1  # the shift is bounded before 10 **
+    # Past int()'s 4,300-digit limit: leading zeros and exponent digits stay out of it.
+    assert resolve_sigma("0." + "0" * 5000 + "1", 8) == 1
+    assert resolve_sigma("1e-" + "9" * 5000, 8) == 1
     with pytest.warns(UserWarning, match="threshold 0 treated as 1"):
         assert resolve_sigma("1e-400", 0) == 1
     for text in ("-1e-400", "0e-400", "0.0", "-0.0"):
@@ -119,7 +127,7 @@ def test_compare_synthetic_reports_equal(capsys):
 def test_compare_skips_brute_beyond_the_guard(capsys):
     code, out, _ = run(capsys, "compare", "--synthetic", "20,30,0.2,9", "--min-sup", "8")
     assert code == EXIT_OK
-    assert "brute force skipped" in out
+    assert "brute skipped" in out
     assert "pcminer, apriori" in out
 
 
@@ -128,7 +136,8 @@ def test_compare_skips_brute_past_the_work_guard(capsys):
     # would keep brute force busy for about two minutes
     code, out, _ = run(capsys, "compare", "--synthetic", "2000,20,0.3,7", "--min-sup", "0.2")
     assert code == EXIT_OK
-    assert out.startswith("note: brute force skipped (2**20 subsets x 2000 rows exceed")
+    assert out.startswith("note: brute skipped (the exhaustive miner is capped: "
+                          "2**20 subsets x 2000 rows exceed")
     assert out.splitlines()[-1].startswith("EQUAL")
     assert "(pcminer, apriori)" in out
 
@@ -182,6 +191,70 @@ def test_compare_detects_a_missing_itemset(capsys, monkeypatch):
     assert "absent" in out
 
 
+def refusing(db, sigma):
+    raise baselines.UniverseTooLargeError("refused by the test")
+
+
+def test_compare_notes_a_refusal_and_takes_the_next_miner_as_reference(capsys, monkeypatch):
+    real = cli.ALGORITHMS["brute"]
+
+    def lossy(db, sigma):
+        outcome = real(db, sigma)
+        return RunOutcome({k: v for k, v in outcome.frequent.items() if k != (0,)},
+                          outcome.candidates, outcome.mine_ms)
+
+    monkeypatch.setitem(cli.ALGORITHMS, "pcminer", refusing)
+    monkeypatch.setitem(cli.ALGORITHMS, "brute", lossy)
+    code, out, _ = run(capsys, "compare", "--input", DEMO, "--min-sup", "4")
+    assert code == EXIT_MISMATCH
+    assert out == ("note: pcminer skipped (refused by the test)\n"
+                   "DIFFER on demo8.dat: itemset 0: apriori=6 brute=absent\n")
+
+
+def test_compare_notes_the_walk_guard_and_checks_the_other_miners(capsys, monkeypatch):
+    monkeypatch.setattr(pc_miner, "WALK_MAX_WORK", 10)  # demo8's head at 4 bounds the walk at 11
+    code, out, _ = run(capsys, "compare", "--input", DEMO, "--min-sup", "4")
+    assert code == EXIT_OK
+    note, equal = out.splitlines()
+    assert note.startswith("note: pcminer skipped (the candidate walk is capped: its 1-head")
+    assert equal == "EQUAL on demo8.dat: 11 frequent itemsets at min_sup 4 (apriori, brute)"
+
+
+def test_compare_with_fewer_than_two_miners_run_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(pc_miner, "WALK_MAX_WORK", 10)
+    monkeypatch.setitem(cli.ALGORITHMS, "apriori", refusing)
+    code, out, _ = run(capsys, "compare", "--input", DEMO, "--min-sup", "4")
+    assert code == EXIT_MISMATCH
+    assert [line.split(" (")[0] for line in out.splitlines()] == [
+        "note: pcminer skipped", "note: apriori skipped"]
+
+
+@pytest.mark.parametrize("spec, min_sup", [
+    ("3000,120,0.1,2", "0.05"),  # 120 frequent itemsets, but heads of up to 25 items
+    ("1000,40,0.5,1", "0.01"),  # about 11.6 million frequent itemsets
+    ("10,3000,0.9,1", "9"),  # heads of 2,120 items: a walk bound near 2**2120
+])
+def test_mine_refuses_an_exponential_walk_before_it_starts(capsys, spec, min_sup):
+    code, out, err = run(capsys, "mine", "--synthetic", spec, "--min-sup", min_sup)
+    assert code == EXIT_MISMATCH
+    assert out == ""
+    assert err.startswith("error: the candidate walk is capped: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--sigmas", "4", "--min-sup", "7"],
+    ["bench", "--sigmas", "4", "--quiet"],
+    ["bench", "--sigmas", "4", "--stats-out", "stats.csv"],
+    ["compare", "--quiet"],
+], ids=["bench-min-sup", "bench-quiet", "bench-stats-out", "compare-quiet"])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--input", DEMO])
+    assert err.value.code == EXIT_USAGE
+    out, message = capsys.readouterr()
+    assert out == "" and "unrecognized arguments" in message
+
+
 @pytest.mark.parametrize("algo, name", [("apriori", "apriori_mine"),
                                         ("brute", "brute_force_mine")])
 def test_mine_calls_each_baseline_through_its_module_attribute(capsys, monkeypatch, algo, name):
@@ -198,13 +271,11 @@ def test_mine_calls_each_baseline_through_its_module_attribute(capsys, monkeypat
     assert calls == [4]
 
 
-def test_bench_writes_stats_csv(tmp_path, capsys):
-    out_path = tmp_path / "stats.csv"
-    code, _, _ = run(capsys, "bench", "--input", DEMO, "--sigmas", "2,3,4,5",
-                     "--algo", "pcminer,apriori", "--stats-out", str(out_path))
+def test_bench_writes_stats_csv(capsys):
+    code, out, _ = run(capsys, "bench", "--input", DEMO, "--sigmas", "2,3,4,5",
+                       "--algo", "pcminer,apriori")
     assert code == EXIT_OK
-    with open(out_path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = list(csv.DictReader(io.StringIO(out, newline="")))
     assert len(rows) == 8
     by_key = {(r["algo"], r["min_sup"]): r for r in rows}
     assert by_key[("pcminer", "4")]["num_candidates"] == "6"
@@ -213,16 +284,13 @@ def test_bench_writes_stats_csv(tmp_path, capsys):
     assert all(r["dataset"] == "demo8.dat" for r in rows)
 
 
-def test_bench_rerun_matches_on_everything_but_runtime(tmp_path, capsys):
-    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-    for path in paths:
-        run(capsys, "bench", "--input", DEMO, "--sigmas", "2,4", "--stats-out", str(path))
+def test_bench_rerun_matches_on_everything_but_runtime(capsys):
+    outputs = [run(capsys, "bench", "--input", DEMO, "--sigmas", "2,4")[1] for _ in range(2)]
     snapshots = []
-    for path in paths:
-        with open(path, newline="", encoding="utf-8") as fh:
-            snapshots.append([
-                (r["dataset"], r["algo"], r["min_sup"], r["num_frequent"], r["num_candidates"])
-                for r in csv.DictReader(fh)])
+    for out in outputs:
+        snapshots.append([
+            (r["dataset"], r["algo"], r["min_sup"], r["num_frequent"], r["num_candidates"])
+            for r in csv.DictReader(io.StringIO(out, newline=""))])
     assert snapshots[0] == snapshots[1]
 
 
@@ -377,3 +445,68 @@ def test_cli_start_up_imports_no_dataclasses():
     new = done.stdout.split()
     assert "pcmine.cli" in new
     assert not {"dataclasses", "inspect"} & set(new)
+
+
+# ---------------------------------------------------------------- input sweep
+
+
+@st.composite
+def synthetic_sources(draw):
+    """A --synthetic spec: up to 3,000 items and density 1, at most 6,000 draws in all."""
+    items = draw(st.integers(min_value=1, max_value=3000))
+    rows = draw(st.integers(min_value=1, max_value=max(1, 6000 // items)))
+    density = draw(st.floats(min_value=1 / items, max_value=1.0))
+    seed = draw(st.integers(min_value=-2**64, max_value=2**64))
+    return ["--synthetic", f"{rows},{items},{density},{seed}"]
+
+
+@st.composite
+def file_sources(draw, path):
+    """An --input file of drawn rows, with blank lines and now and then a junk token."""
+    pool = draw(st.lists(st.integers(min_value=0, max_value=10**22), min_size=1, max_size=40,
+                         unique=True))
+    rows = draw(st.lists(st.lists(st.sampled_from(pool), max_size=40), max_size=60))
+    lines = [draw(st.sampled_from([" ", "\t", "  "])).join(map(str, row)) for row in rows]
+    if lines and draw(st.booleans()):
+        junk = draw(st.sampled_from(["x", "-1", "1.5", "0x10", "\u0663", "1e3", "+2"]))
+        lines[draw(st.integers(min_value=0, max_value=len(lines) - 1))] += " " + junk
+    path.write_text("\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"])),
+                    encoding="utf-8")
+    return ["--input", str(path)]
+
+
+MIN_SUPS = st.one_of(
+    st.integers(min_value=-2, max_value=10**30).map(str),
+    st.floats(min_value=0.0, max_value=1.5).map(repr),
+    st.decimals(min_value=0, max_value=1, places=9).map(str),  # 1E-7 and the like
+    st.builds("{}e{}".format, st.integers(min_value=0, max_value=10**6),
+              st.integers(min_value=-40, max_value=2)),
+    st.integers(min_value=0, max_value=6000).map(lambda zeros: "0." + "0" * zeros + "1"),
+)
+
+
+@given(data=st.data(), min_sup=MIN_SUPS)
+@settings(max_examples=300, deadline=None)
+def test_readme_legal_inputs_exit_cleanly(tmp_path_factory, data, min_sup):
+    """mine on drawn inputs exits 0, 1 or 2, with no traceback, well inside a time bound."""
+    path = tmp_path_factory.getbasetemp() / "sweep.dat"
+    source = data.draw(st.one_of(synthetic_sources(), file_sources(path)))
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        # a test-sized guard: the walk and the frequent family stay small
+        patch.setattr(pc_miner, "WALK_MAX_WORK", 2**12)
+        code = main(["mine", *source, f"--min-sup={min_sup}", "--algo", "pcminer"])
+    event(f"exit {code}")
+    assert time.perf_counter() - start < 3.0
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_OK:
+        assert out.getvalue().startswith("dataset: ")
+    else:
+        assert code in (EXIT_MISMATCH, EXIT_USAGE)
+        assert out.getvalue() == ""
+        last = err.getvalue().splitlines()[-1]
+        assert last.startswith("error: ")
+        # pcminer refuses only through its walk guard
+        assert (code == EXIT_MISMATCH) == last.startswith("error: the candidate walk is capped")

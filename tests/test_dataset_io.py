@@ -1,6 +1,7 @@
 """Loader, synthetic generator, and stats writer tests."""
 
 import csv
+import io
 import warnings
 
 import pytest
@@ -13,7 +14,7 @@ from pcmine.dataset_io import (
     TransactionParseError,
     generate_synthetic,
     load_transactions,
-    write_stats,
+    write_stats_csv,
 )
 from pcmine.prime_codec import build_prime_table, encode
 
@@ -158,32 +159,31 @@ def test_synthetic_transactions_are_never_empty():
 # --------------------------------------------------------------------- stats
 
 
-def test_write_stats_header_only(tmp_path):
-    path = tmp_path / "stats.csv"
-    write_stats([], path)
-    assert path.read_text(encoding="utf-8") == "dataset,algo,min_sup,num_frequent,num_candidates,runtime_ms\n"
+def test_write_stats_header_only():
+    stream = io.StringIO()
+    write_stats_csv([], stream)
+    assert stream.getvalue() == "dataset,algo,min_sup,num_frequent,num_candidates,runtime_ms\n"
 
 
-def test_write_stats_round_trip(tmp_path):
+def test_write_stats_round_trip():
     rows = [
         StatsRow("demo8.dat", "pcminer", 4, 11, 6, 0.125),
         StatsRow("weird, name", "apriori", 2, 33, 31, 1.5),
     ]
-    path = tmp_path / "stats.csv"
-    write_stats(rows, path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        parsed = [
-            StatsRow(r[0], r[1], int(r[2]), int(r[3]), int(r[4]), float(r[5]))
-            for r in reader
-        ]
+    stream = io.StringIO()
+    write_stats_csv(rows, stream)
+    reader = csv.reader(io.StringIO(stream.getvalue(), newline=""))
+    header = tuple(next(reader))
+    parsed = [
+        StatsRow(r[0], r[1], int(r[2]), int(r[3]), int(r[4]), float(r[5]))
+        for r in reader
+    ]
     assert header == STATS_HEADER
     assert parsed == rows
 
 
-def test_write_stats_one_line_per_row(tmp_path):
-    path = tmp_path / "stats.csv"
-    write_stats([StatsRow("d", "a", 1, 2, 3, 4.0)], path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+def test_write_stats_one_line_per_row():
+    stream = io.StringIO()
+    write_stats_csv([StatsRow("d", "a", 1, 2, 3, 4.0)], stream)
+    lines = stream.getvalue().splitlines()
     assert len(lines) == 2

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcmine import pc_miner
-from pcmine.baselines import TransactionDB, apriori_mine, brute_force_mine, effective_sigma
+from pcmine.baselines import (
+    TransactionDB,
+    UniverseTooLargeError,
+    apriori_mine,
+    brute_force_mine,
+    effective_sigma,
+)
 from pcmine.dataset_io import SyntheticSpec, generate_synthetic
 from pcmine.pc_miner import (
     MiningResult,
@@ -85,6 +91,18 @@ def test_mine_sigma_zero_warns_and_means_one(demo_tree):
 def test_mine_rejects_negative_sigma(demo_tree):
     with pytest.raises(ValueError):
         mine(demo_tree, -1)
+
+
+@pytest.mark.parametrize("sigma, bound", [(4, 11), (1, 52)])
+def test_the_walk_guard_admits_its_bound_and_refuses_one_more(demo_db, demo_tree, monkeypatch,
+                                                              sigma, bound):
+    # The walk bound is the sum of 2**|h| - |h| - 1 over the candidate heads:
+    # (A, C, D, F) at 4; (A, B, C, D, E) and (A, B, C, D, F) at 1.
+    monkeypatch.setattr(pc_miner, "WALK_MAX_WORK", bound)
+    assert mine(demo_tree, sigma).frequent == brute_force_mine(demo_db, sigma).frequent
+    monkeypatch.setattr(pc_miner, "WALK_MAX_WORK", bound - 1)
+    with pytest.raises(UniverseTooLargeError, match=rf"past the {bound - 1}-candidate walk guard"):
+        mine(demo_tree, sigma)
 
 
 def test_examined_log_has_no_repeats(demo_tree):
