@@ -6,7 +6,8 @@ weighted by its multiplicity. Brute force scans the raw rows and reads
 nothing the other two miners share, so it is the independent check: a wrong
 tally makes pcminer and Apriori agree with each other and differ from it.
 Brute force checks its guards (brute_force_refusal) before it counts
-anything, so a refusal costs nothing.
+anything, so a refusal costs nothing. Apriori checks its work guard before
+each level's join, so a refused level is never built.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter, namedtuple
 from itertools import combinations, groupby
+from math import comb
 from typing import Iterable, Sequence
 
 from .prime_codec import Itemset, as_itemset
@@ -23,13 +25,20 @@ BRUTE_FORCE_MAX_ITEMS = 24
 # CPython, so 2**25 subset-rows take about 2 s. It refuses more work than this
 # even under the item cap: 24 items over 40,000 rows would take hours.
 BRUTE_FORCE_MAX_WORK = 2**25
+# Apriori tests each candidate against each distinct row, about 65 ns a test
+# in CPython, so 2**27 row tests take about 9 s. Its work is the join's
+# candidates times the distinct rows, summed over the levels and checked
+# before each level is joined; the heaviest input it is known to finish,
+# 20000,16,0.4,1 at 0.05, needs 3.9e7, and dense-dup needs 1.0e7.
+APRIORI_MAX_WORK = 2**27
 
 
 class UniverseTooLargeError(ValueError):
     """A miner refused exponential work before starting it.
 
     Brute force raises it when the items or the subset-row work exceed a
-    guard, and pc_miner.mine() when the candidate heads bound its walk above
+    guard, Apriori when its row tests would pass APRIORI_MAX_WORK, and
+    pc_miner.mine() when the candidate heads bound its walk above
     pc_miner.WALK_MAX_WORK. The CLI exits 1 on it, and compare prints it as
     a note and cross-checks the miners that ran.
     """
@@ -177,6 +186,15 @@ def brute_force_mine(db: TransactionDB, sigma: int) -> BaselineResult:
     return BaselineResult(frequent=frequent, candidates_generated=candidates)
 
 
+def _prefix(itemset: Itemset) -> Itemset:
+    return itemset[:-1]
+
+
+def _join_size(level: Sequence[Itemset]) -> int:
+    """The number of candidates _join_level(level) gives, counted without building them."""
+    return sum(comb(sum(1 for _ in group), 2) for _, group in groupby(level, key=_prefix))
+
+
 def _join_level(level: Sequence[Itemset]) -> list[Itemset]:
     """Join a lexicographically sorted frequent level with itself.
 
@@ -186,7 +204,7 @@ def _join_level(level: Sequence[Itemset]) -> list[Itemset]:
     visits each pair once, in the order of the level.
     """
     return [prefix + pair
-            for prefix, group in groupby(level, key=lambda itemset: itemset[:-1])
+            for prefix, group in groupby(level, key=_prefix)
             for pair in combinations([itemset[-1] for itemset in group], 2)]
 
 
@@ -206,6 +224,11 @@ def apriori_mine(db: TransactionDB, sigma: int) -> BaselineResult:
     as many rows as it occurs. candidates_generated counts the candidates
     that survive pruning at sizes two and up; the singleton pass is a plain
     frequency scan and is not counted.
+
+    Raises UniverseTooLargeError before joining a level when the join's
+    candidates times the distinct rows, summed over the levels so far,
+    exceed APRIORI_MAX_WORK: the pruned candidates of a level are at most
+    its joined ones, so that sum bounds the row tests of the scans.
     """
     sig = effective_sigma(sigma)
     index = {item: i for i, item in enumerate(db.universe)}
@@ -221,8 +244,15 @@ def apriori_mine(db: TransactionDB, sigma: int) -> BaselineResult:
     frequent: dict[Itemset, int] = {(i,): c for i, c in counts.items() if c >= sig}
     level: list[Itemset] = sorted(frequent)
 
-    candidates = 0
+    distinct = len(single) + len(repeated)
+    candidates = work = 0
     while level:
+        work += _join_size(level) * distinct
+        if work > APRIORI_MAX_WORK:
+            raise UniverseTooLargeError(
+                f"the level-wise miner is capped: the {len(level[0]) + 1}-item candidates "
+                f"bring its scans to {work} tests over {distinct} distinct rows, "
+                f"past the {APRIORI_MAX_WORK}-row-test work guard")
         pruned = _prune_level(_join_level(level), set(level))
         candidates += len(pruned)
         next_level = []

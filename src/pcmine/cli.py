@@ -4,10 +4,10 @@ Each subcommand takes only the flags it reads: --min-sup belongs to mine and
 compare, --quiet to mine, and bench writes its CSV to stdout alone.
 
 A miner refuses exponential work by raising baselines.UniverseTooLargeError,
-brute force past its item or subset-row guard and pcminer past its walk
-guard; the CLI asks no guard itself. mine exits 1 on a refusal; compare
-prints it as a `note:` line and cross-checks the miners that ran, in
-ALGORITHMS order, against the first of them.
+brute force past its item or subset-row guard, Apriori past its row-test
+guard and pcminer past its walk guard; the CLI asks no guard itself. mine
+exits 1 on a refusal; compare prints it as a `note:` line and cross-checks
+the miners that ran, in ALGORITHMS order, against the first of them.
 
 Exit codes: 0 on success (and on EQUAL for compare), 1 when compare finds a
 semantic difference or runs fewer than two miners, or a miner refuses the
@@ -81,6 +81,13 @@ ALGORITHMS = {
 }
 
 
+def _quote(text: str) -> str:
+    """repr() of text, or of its first 20 characters and its length when it is longer."""
+    if len(text) <= 24:
+        return repr(text)
+    return f"{text[:20]!r}... ({len(text)} characters)"
+
+
 def resolve_sigma(text: str, db_size: int) -> int:
     """An integer literal is an absolute count; a fraction f in (0, 1] is ceil(f * |D|).
 
@@ -88,12 +95,16 @@ def resolve_sigma(text: str, db_size: int) -> int:
     decimal text, since binary floats round: 0.07 * 100 is 7.000000000000001
     there, whose ceil is 8. The result is the threshold the miners enforce,
     so that the output shows it: a 0 becomes 1, with
-    baselines.effective_sigma's warning. A fraction of more than 4,300
-    significant digits is refused.
+    baselines.effective_sigma's warning. Leading zeros are read past in
+    either form, so 0004 is 4, and a number of more than 4,300 significant
+    digits is refused. An error quotes only a short prefix of the text.
     """
     try:
         if any(c in text for c in ".eE"):
-            at_most_one = float(text) <= 1.0  # checks the syntax first
+            try:
+                at_most_one = float(text) <= 1.0  # checks the syntax first
+            except ValueError:
+                raise ValueError("not a decimal number") from None
             mantissa, _, exponent = text.strip().replace("_", "").lower().partition("e")
             whole, _, fraction = mantissa.partition(".")
             # Zeros on either end stay out of int(), which reads at most 4,300
@@ -105,7 +116,7 @@ def resolve_sigma(text: str, db_size: int) -> int:
             numerator = int(kept or "0") * 10 ** (len(digits) - len(kept))
             # The digits decide positivity, since float() reads 1e-400 as 0.0.
             if not (at_most_one and numerator > 0 and not mantissa.startswith("-")):
-                raise ValueError(f"fractional min-sup must be in (0, 1], got {text}")
+                raise ValueError("a fractional min-sup must be in (0, 1]")
             # A shift past the length of the mantissa times |D| leaves the ceil
             # at 1 (0 for an empty database): bound it before 10 ** is taken.
             # A fraction of at most 1 has an exponent below the bound. A longer
@@ -118,11 +129,24 @@ def resolve_sigma(text: str, db_size: int) -> int:
             # float() reads 1.00000000000000000001 as 1.0, so min() does too
             value = min(-(-numerator * db_size // 10 ** shift), db_size)
         else:
-            value = int(text)
+            # int()'s grammar, [+-]digit(_?digit)*, is checked here so that
+            # leading zeros stay out of int() as above; an underscore at
+            # either end of rest doubles up in the padded text.
+            body = text.strip()
+            rest = body[1:] if body.startswith(("+", "-")) else body
+            digits = rest.replace("_", "")
+            if not digits.isdecimal() or "__" in f"_{rest}_":
+                raise ValueError("not an integer")
+            kept = digits.lstrip("0")
+            if len(kept) > 4300:
+                raise ValueError("more than 4300 significant digits")
+            value = int(kept or "0")
+            if body.startswith("-"):
+                value = -value
     except ValueError as exc:
-        raise ValueError(f"cannot read min-sup {text!r}: {exc}") from None
+        raise ValueError(f"cannot read min-sup {_quote(text)}: {exc}") from None
     if value < 0:
-        raise ValueError(f"min-sup must be non-negative, got {value}")
+        raise ValueError(f"min-sup must be non-negative, got {_quote(text)}")
     return baselines.effective_sigma(value)
 
 

@@ -25,6 +25,18 @@ class TransactionParseError(ValueError):
     """A transaction file line held something other than item ids."""
 
 
+class _ItemIds(dict):
+    """Token text -> item id, each token checked and converted once, when first looked up."""
+
+    __slots__ = ()
+
+    def __missing__(self, token: str) -> int:
+        if not (token.isascii() and token.isdigit()):
+            raise TransactionParseError(f"bad item id {token!r}")
+        self[token] = item = int(token)
+        return item
+
+
 def load_transactions(path) -> TransactionDB:
     """Read a whitespace-separated transaction file.
 
@@ -32,28 +44,30 @@ def load_transactions(path) -> TransactionDB:
     reported in one aggregate warning, and the kept lines are the rows in
     file order, so a transaction's id is its position among them.
 
-    Each distinct line is parsed once: a line whose exact text was seen
-    before reuses that line's itemset, so heavily duplicated files pay for
-    tokenizing and canonicalizing once per distinct line. Only lines that
-    parsed cleanly are remembered, so a bad token raises with the number of
-    the first line that holds it. A byte that is not UTF-8 is read as a lone
-    surrogate, so it makes a bad token too, reported with its file and line.
+    The file is read line by line, and each distinct line is parsed once: a
+    line whose exact text was seen before reuses that line's itemset, so
+    heavily duplicated files pay for tokenizing and canonicalizing once per
+    distinct line. Each distinct token is checked and converted once too,
+    the first time a line holds it, and the universe is the set of their
+    ids, so two spellings of one id, such as 7 and 07, give one item. Only
+    lines that parsed cleanly are remembered, so a bad token raises with the
+    number of the first line that holds it. A byte that is not UTF-8 is read
+    as a lone surrogate, so it makes a bad token too, reported with its file
+    and line.
     """
     rows = []
     parsed: dict[str, Itemset] = {}
-    universe: set[int] = set()
+    ids = _ItemIds()
+    lookup = ids.__getitem__
     skipped = 0
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             itemset = parsed.get(line)
             if itemset is None:
-                items = []
-                for token in line.split():
-                    if not (token.isascii() and token.isdigit()):
-                        raise TransactionParseError(f"{path}:{line_no}: bad item id {token!r}")
-                    items.append(int(token))
-                itemset = parsed[line] = as_itemset(items)
-                universe.update(itemset)
+                try:
+                    itemset = parsed[line] = as_itemset(map(lookup, line.split()))
+                except TransactionParseError as exc:
+                    raise TransactionParseError(f"{path}:{line_no}: {exc}") from None
             if not itemset:
                 skipped += 1
                 continue
@@ -61,7 +75,7 @@ def load_transactions(path) -> TransactionDB:
     if skipped:
         warnings.warn(f"{path}: skipped {skipped} empty transaction line(s)", stacklevel=2)
     # The rows are canonical already, so from_itemsets would only redo as_itemset.
-    return TransactionDB(rows, sorted(universe))
+    return TransactionDB(rows, sorted(set(ids.values())))
 
 
 class SyntheticSpec(namedtuple("SyntheticSpec", "num_transactions num_items density seed")):

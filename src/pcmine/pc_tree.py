@@ -23,7 +23,10 @@ them current and places the value from them, for a transaction of any
 length. Placement asks the index for the multiples of itemset x, its
 supersets(x), the nodes holding all of x's items, and for the stored
 divisors of x, its subsets(x) less the root, the nodes holding no item
-outside x; the heads among the multiples are an AND with the depth-1 mask.
+outside x: one XOR of every bit with the OR of the rows left in a copy of
+the rows once x's items are popped, so its cost grows with the items the
+tree holds, not with x; the heads among the multiples are an AND with the
+depth-1 mask.
 Only the index and validate() read its rows, so their format and the divisor
 search sit behind it. A birth-indexed head list holds the birth of each
 node's head, so which head holds a node is one lookup: only when the
@@ -168,11 +171,17 @@ class VerticalIndex:
     def subsets(self, items: Iterable[int]) -> int:
         """Bits of the itemsets that hold no item outside items.
 
-        An empty itemset, such as a tree's root at bit 0, is always among them.
+        The rows of the items outside are those left in a copy of the rows
+        once items are popped from it: their OR is the bits to leave out,
+        and one XOR with every bit takes its complement. An item that no
+        row holds pops nothing, and nor does a repeat. An empty itemset,
+        such as a tree's root at bit 0, is always among them.
         """
-        rows = self.rows
-        outside = reduce(or_, map(rows.__getitem__, rows.keys() - set(items)), 0)
-        return ((1 << len(self.counts)) - 1) & ~outside
+        outside = self.rows.copy()
+        pop = outside.pop
+        for item in items:
+            pop(item, None)
+        return reduce(or_, outside.values(), 0) ^ ((1 << len(self.counts)) - 1)
 
     def covered(self, items: Iterable[int]) -> Iterator[Itemset]:
         """Each non-empty itemset over items that some stored itemset holds, once.

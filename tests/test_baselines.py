@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcmine import baselines
 from pcmine.baselines import (
     BRUTE_FORCE_MAX_ITEMS,
     BRUTE_FORCE_MAX_WORK,
     TransactionDB,
     UniverseTooLargeError,
     _join_level,
+    _join_size,
     _prune_level,
     apriori_mine,
     brute_force_mine,
@@ -102,6 +104,39 @@ def test_brute_force_work_guard():
     with pytest.raises(UniverseTooLargeError) as err:
         brute_force_mine(over, 1)
     assert str(BRUTE_FORCE_MAX_WORK) in str(err.value)
+
+
+# Row tests per level at sigma 1, with two distinct rows: 3 items join into 3
+# pairs (6 tests), the 3 frequent pairs join into 1 triple (2 more), and the
+# triple joins into nothing.
+GUARD_ROWS = [(A, B, C), (A, B), (A, B, C)]
+
+
+def test_apriori_work_guard(monkeypatch):
+    db = TransactionDB.from_itemsets(GUARD_ROWS)
+    monkeypatch.setattr(baselines, "APRIORI_MAX_WORK", 8)  # exactly the work
+    assert len(apriori_mine(db, 1).frequent) == 7
+    monkeypatch.setattr(baselines, "APRIORI_MAX_WORK", 7)
+    with pytest.raises(UniverseTooLargeError, match=(
+            r"the 3-item candidates bring its scans to 8 tests over 2 distinct rows, "
+            r"past the 7-row-test work guard")):
+        apriori_mine(db, 1)
+
+
+def test_apriori_work_guard_refuses_a_level_before_joining_it(monkeypatch):
+    joined = []
+    monkeypatch.setattr(baselines, "APRIORI_MAX_WORK", 5)
+    monkeypatch.setattr(baselines, "_join_level", lambda level: joined.append(level) or [])
+    with pytest.raises(UniverseTooLargeError, match="the 2-item candidates bring its scans to 6"):
+        apriori_mine(TransactionDB.from_itemsets(GUARD_ROWS), 1)
+    assert joined == []
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(4, 9)), max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_join_size_counts_the_join(level):
+    level = sorted(set(level))
+    assert _join_size(level) == len(_join_level(level))
 
 
 def test_apriori_demo_candidate_count(demo_db):

@@ -69,6 +69,41 @@ def test_resolve_sigma():
         resolve_sigma("four", 8)
 
 
+def test_resolve_sigma_reads_past_leading_zeros_of_an_integer():
+    assert resolve_sigma("0" * 5000 + "4", 8) == 4
+    assert resolve_sigma(" +0_0_4\n", 8) == 4  # int()'s whitespace, sign and underscores
+    assert resolve_sigma("1_000", 10**6) == 1000
+    assert resolve_sigma("9" * 4300, 8) == 10**4300 - 1
+    with pytest.raises(ValueError, match="more than 4300 significant digits"):
+        resolve_sigma("9" * 4301, 8)
+    for text in ("_4", "4_", "0__4", "-", "+-4", "", "1 2"):
+        with pytest.raises(ValueError, match="not an integer"):
+            resolve_sigma(text, 8)
+
+
+@pytest.mark.parametrize("text", [
+    "9" * 5000, "0" * 5000 + "x", "x" * 5000, "-" + "1" * 4000,
+    "1." + "0" * 5000 + "1", "0." + "0" * 5000 + "x", "-0." + "0" * 5000 + "1",
+], ids=["digits", "zeros-then-junk", "junk", "negative", "above-one", "bad-fraction",
+        "negative-fraction"])
+def test_resolve_sigma_errors_quote_a_short_prefix(text):
+    with pytest.raises(ValueError) as err:
+        resolve_sigma(text, 8)
+    message = str(err.value)
+    assert text[:20] in message and f"({len(text)} characters)" in message
+    assert len(message) < 120
+
+
+def test_mine_reads_a_long_zero_padded_min_sup_and_refuses_a_long_number_on_one_line(capsys):
+    code, out, _ = run(capsys, "mine", "--input", DEMO, "--min-sup", "0" * 5000 + "4", "--quiet")
+    assert code == EXIT_OK
+    assert "min_sup: 4\n" in out and "candidates: 6\n" in out
+    code, out, err = run(capsys, "mine", "--input", DEMO, "--min-sup", "7" * 5000)
+    assert code == EXIT_USAGE and out == ""
+    assert err == ("error: cannot read min-sup '77777777777777777777'... (5000 characters): "
+                   "more than 4300 significant digits\n")
+
+
 def test_mine_pcminer_demo(capsys):
     code, out, _ = run(capsys, "mine", "--input", DEMO, "--algo", "pcminer", "--min-sup", "4")
     assert code == EXIT_OK
@@ -218,6 +253,19 @@ def test_compare_notes_the_walk_guard_and_checks_the_other_miners(capsys, monkey
     note, equal = out.splitlines()
     assert note.startswith("note: pcminer skipped (the candidate walk is capped: its 1-head")
     assert equal == "EQUAL on demo8.dat: 11 frequent itemsets at min_sup 4 (apriori, brute)"
+
+
+def test_compare_notes_the_apriori_guard_and_checks_the_other_miners(capsys, monkeypatch):
+    monkeypatch.setattr(baselines, "APRIORI_MAX_WORK", 10)
+    code, out, _ = run(capsys, "compare", "--input", DEMO, "--min-sup", "4")
+    assert code == EXIT_OK
+    note, equal = out.splitlines()
+    assert note.startswith("note: apriori skipped (the level-wise miner is capped: "
+                           "the 2-item candidates bring its scans to ")
+    assert equal == "EQUAL on demo8.dat: 11 frequent itemsets at min_sup 4 (pcminer, brute)"
+    code, out, err = run(capsys, "mine", "--input", DEMO, "--min-sup", "4", "--algo", "apriori")
+    assert code == EXIT_MISMATCH and out == ""
+    assert err.startswith("error: the level-wise miner is capped: ")
 
 
 def test_compare_with_fewer_than_two_miners_run_exits_one(capsys, monkeypatch):

@@ -99,6 +99,26 @@ def test_load_reports_bytes_that_are_not_utf8_with_file_and_line(tmp_path, data,
         load_transactions(path)
 
 
+def test_load_reads_two_spellings_of_an_id_as_one_item(tmp_path):
+    db = load_transactions(write_file(tmp_path, "7 07\n007 3\n3 0\n00 7\n"))
+    assert db.rows == ((7,), (3, 7), (0, 3), (0, 7))
+    assert db.universe == (0, 3, 7)  # each id once, ascending, as TransactionDB requires
+
+
+@pytest.mark.parametrize("data, line, token", [
+    (b"1 2\n1 2\n2 1\n1 2\n1 x 2\n1 x 2\n", 5, "'x'"),
+    (b"1 2\n3\n1 2\n3\n3 2 \xff\n3 2 \xff\n", 5, r"'\udcff'"),
+], ids=["ascii", "not-utf8"])
+def test_load_reports_the_first_line_of_a_bad_token_after_cached_lines(tmp_path, data, line,
+                                                                        token):
+    """Earlier lines, their texts and every good token on the bad line are cached already."""
+    path = tmp_path / "bad.dat"
+    path.write_bytes(data)
+    with pytest.raises(TransactionParseError) as err:
+        load_transactions(path)
+    assert str(err.value) == f"{path}:{line}: bad item id {token}"
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_transactions(tmp_path / "nope.dat")

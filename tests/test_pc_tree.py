@@ -459,6 +459,34 @@ def test_support_index_matches_walk_and_raw_count(db, data):
 
 
 @given(stored=st.lists(st.sets(st.integers(min_value=0, max_value=9)), max_size=12),
+       query=st.lists(st.integers(min_value=0, max_value=12), max_size=14))
+@settings(max_examples=150, deadline=None)
+def test_subsets_matches_a_brute_force_reference(stored, query):
+    """A one-shot iterator, repeated items and items no row holds (10 to 12) give the reference."""
+    index = VerticalIndex()
+    index.add((), 0)
+    for itemset in stored:
+        index.add(sorted(itemset), 1)
+    rows = dict(index.rows)
+    expected = sum(1 << b for b, itemset in enumerate([set(), *stored]) if itemset <= set(query))
+    assert index.subsets(iter(query)) == expected
+    assert index.subsets(query + query) == expected
+    assert index.rows == rows  # the query pops items from a copy, never from the rows
+
+
+def test_subsets_edge_cases():
+    index = VerticalIndex()
+    assert index.subsets([1]) == 0  # nothing stored
+    index.add((1, 2), 1)
+    index.add((2,), 1)
+    assert index.subsets(()) == 0
+    assert index.subsets([7]) == 0  # no row holds item 7
+    assert index.subsets(iter([2, 2, 7])) == 0b10
+    assert index.subsets(x for x in (2, 1)) == 0b11
+    assert index.rows == {1: 0b01, 2: 0b11}
+
+
+@given(stored=st.lists(st.sets(st.integers(min_value=0, max_value=9)), max_size=12),
        items=st.lists(st.integers(min_value=0, max_value=11), unique=True))
 @settings(max_examples=150, deadline=None)
 def test_covered_lists_each_held_itemset_once_depth_first(stored, items):
