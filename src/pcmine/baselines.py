@@ -6,8 +6,9 @@ weighted by its multiplicity. Brute force scans the raw rows and reads
 nothing the other two miners share, so it is the independent check: a wrong
 tally makes pcminer and Apriori agree with each other and differ from it.
 Brute force checks its guards (brute_force_refusal) before it counts
-anything, so a refusal costs nothing. Apriori checks its work guard before
-each level's join, so a refused level is never built.
+anything, so a refusal costs nothing. Apriori checks its two guards, on row
+tests and on candidates, before each level's join, so a refused level is
+never built.
 """
 
 from __future__ import annotations
@@ -31,13 +32,22 @@ BRUTE_FORCE_MAX_WORK = 2**25
 # before each level is joined; the heaviest input it is known to finish,
 # 20000,16,0.4,1 at 0.05, needs 3.9e7, and dense-dup needs 1.0e7.
 APRIORI_MAX_WORK = 2**27
+# Each candidate Apriori joins costs about 150 bytes (the tuple, its list
+# slots and its entry in the frequent map) and 8 us of join, prune and scan in
+# CPython, however few the distinct rows, so the row-test guard alone admits
+# 2**27 candidates from one row: 20 GB. This caps the candidates joined over
+# all levels, checked before each join, near 10 MB and 0.5 s; a 26-item row at
+# support 1 is refused at its 5-item candidates. Every input Apriori is known
+# to finish joins at most 4,083 (2000,12,0.85,5 at 0.05), dense-dup 2,497.
+APRIORI_MAX_CANDIDATES = 2**16
 
 
 class UniverseTooLargeError(ValueError):
     """A miner refused exponential work before starting it.
 
     Brute force raises it when the items or the subset-row work exceed a
-    guard, Apriori when its row tests would pass APRIORI_MAX_WORK, and
+    guard, Apriori when its row tests would pass APRIORI_MAX_WORK or its
+    joined candidates APRIORI_MAX_CANDIDATES, and
     pc_miner.mine() when the candidate heads bound its walk above
     pc_miner.WALK_MAX_WORK. The CLI exits 1 on it, and compare prints it as
     a note and cross-checks the miners that ran.
@@ -52,6 +62,8 @@ class TransactionDB:
     tuple of item ids the rows draw from. The constructor validates and keeps
     tuples of what it is given, so a list passed in cannot change the
     database later and a generator is read once; a tuple is kept as it is.
+    It checks each distinct row once, in order of first occurrence, so a
+    refusal names the first transaction that holds a bad row.
     tally() is the only place duplicate rows are collapsed.
     """
 
@@ -62,11 +74,12 @@ class TransactionDB:
         allowed = set(universe)
         if list(universe) != sorted(allowed):
             raise ValueError("universe must be strictly ascending")
-        for t, items in enumerate(rows, start=1):
+        for items in dict.fromkeys(rows):
             if not items:
-                raise ValueError(f"transaction {t} is empty")
+                raise ValueError(f"transaction {rows.index(items) + 1} is empty")
             if not allowed.issuperset(items):
-                raise ValueError(f"transaction {t} uses items outside the universe")
+                raise ValueError(
+                    f"transaction {rows.index(items) + 1} uses items outside the universe")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "universe", universe)
 
@@ -228,7 +241,10 @@ def apriori_mine(db: TransactionDB, sigma: int) -> BaselineResult:
     Raises UniverseTooLargeError before joining a level when the join's
     candidates times the distinct rows, summed over the levels so far,
     exceed APRIORI_MAX_WORK: the pruned candidates of a level are at most
-    its joined ones, so that sum bounds the row tests of the scans.
+    its joined ones, so that sum bounds the row tests of the scans. It
+    raises it too when the joined candidates alone, summed the same way,
+    exceed APRIORI_MAX_CANDIDATES, which bounds the memory and the join
+    and prune time of a database with few distinct rows.
     """
     sig = effective_sigma(sigma)
     index = {item: i for i, item in enumerate(db.universe)}
@@ -245,14 +261,21 @@ def apriori_mine(db: TransactionDB, sigma: int) -> BaselineResult:
     level: list[Itemset] = sorted(frequent)
 
     distinct = len(single) + len(repeated)
-    candidates = work = 0
+    candidates = joined = work = 0
     while level:
-        work += _join_size(level) * distinct
+        size = _join_size(level)
+        joined += size
+        work += size * distinct
         if work > APRIORI_MAX_WORK:
             raise UniverseTooLargeError(
                 f"the level-wise miner is capped: the {len(level[0]) + 1}-item candidates "
                 f"bring its scans to {work} tests over {distinct} distinct rows, "
                 f"past the {APRIORI_MAX_WORK}-row-test work guard")
+        if joined > APRIORI_MAX_CANDIDATES:
+            raise UniverseTooLargeError(
+                f"the level-wise miner is capped: the {len(level[0]) + 1}-item candidates "
+                f"bring its joins to {joined} candidates, "
+                f"past the {APRIORI_MAX_CANDIDATES}-candidate guard")
         pruned = _prune_level(_join_level(level), set(level))
         candidates += len(pruned)
         next_level = []

@@ -4,34 +4,47 @@ Each subcommand takes only the flags it reads: --min-sup belongs to mine and
 compare, --quiet to mine, and bench writes its CSV to stdout alone.
 
 A miner refuses exponential work by raising baselines.UniverseTooLargeError,
-brute force past its item or subset-row guard, Apriori past its row-test
-guard and pcminer past its walk guard; the CLI asks no guard itself. mine
-exits 1 on a refusal; compare prints it as a `note:` line and cross-checks
-the miners that ran, in ALGORITHMS order, against the first of them.
+brute force past its item or subset-row guard, Apriori past its row-test or
+candidate guard and pcminer past its walk guard; the CLI asks no guard
+itself. mine exits 1 on a refusal; compare prints it as a `note:` line and
+cross-checks the miners that ran, in ALGORITHMS order, against the first of
+them.
 
 Exit codes: 0 on success (and on EQUAL for compare), 1 when compare finds a
 semantic difference or runs fewer than two miners, or a miner refuses the
 input, 2 on usage and parse errors,
 141 (128 + SIGPIPE, what a shell shows for a writer killed by a closed pipe)
-when the reader of stdout goes away first, as `pcmine mine ... | head -1`
-does; that exit prints nothing. A library warning, such as a threshold of 0
-or a skipped blank line, is one `warning: <message>` line on stderr. All
-output except the time_* lines is byte-identical across reruns.
+when a write, or the flush at the end of the command, finds that the reader
+of stdout has gone; that exit prints nothing. A report that fits in the
+pipe's buffer can be written whole before the reader leaves, so
+`pcmine mine ... | head -1` may end 0. A library warning, such as a
+threshold of 0 or a skipped blank line, is one `warning: <message>` line on
+stderr. All output except the time_* lines is byte-identical across reruns.
 
 Every run pays for the imports, so the package imports no dataclasses,
 which would bring inspect, ast and dis with it: its records are
-namedtuples and __slots__ classes.
+namedtuples and __slots__ classes. A command runs with the cyclic garbage
+collector paused: the run's own data holds no reference cycles, so the
+collector's passes over the walk's tuples would free nothing (README, "What
+a run does besides mining"). mine writes its report in blocks of
+REPORT_BLOCK_LINES lines, not a write per line: with PYTHONUNBUFFERED set,
+stdout has no buffer and every print costs two write(2) calls. A block is
+small enough that, once the reader of a long report has gone, a later write
+meets the closed pipe instead of a partial write passing unseen.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
 import warnings
 from collections import namedtuple
+from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 from . import baselines, dataset_io, pc_miner, pc_tree
 from .baselines import TransactionDB
@@ -40,6 +53,8 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BROKEN_PIPE = 141
+
+REPORT_BLOCK_LINES = 256
 
 
 # build_ms is None for a miner with no build step; maximal is None when the miner does not
@@ -98,8 +113,12 @@ def resolve_sigma(text: str, db_size: int) -> int:
     baselines.effective_sigma's warning. Leading zeros are read past in
     either form, so 0004 is 4, and a number of more than 4,300 significant
     digits is refused. An error quotes only a short prefix of the text.
+    Only ASCII text is read: float() and int() would take other scripts'
+    digits, which a transaction file may not hold.
     """
     try:
+        if not text.isascii():
+            raise ValueError("not ASCII text")
         if any(c in text for c in ".eE"):
             try:
                 at_most_one = float(text) <= 1.0  # checks the syntax first
@@ -166,29 +185,38 @@ def _fmt(itemset) -> str:
     return " ".join(map(str, itemset))
 
 
+def _report(name: str, db: TransactionDB, algo: str, sigma: int, run: RunOutcome,
+            quiet: bool) -> Iterator[str]:
+    """The lines of mine's report, each without its newline."""
+    maximal = run.maximal
+    if maximal is None:
+        maximal = sorted(pc_miner.maximal_frequent(run.frequent))
+    yield f"dataset: {name} ({len(db)} transactions, {len(db.universe)} items)"
+    yield f"algorithm: {algo}"
+    yield f"min_sup: {sigma}"
+    ranked = sorted(run.frequent.items())
+    yield f"frequent itemsets: {len(ranked)}"
+    if not quiet:
+        for itemset, support in ranked:
+            yield f"  {_fmt(itemset)}: {support}"
+    yield f"maximal: {len(maximal)}"
+    if not quiet:
+        for itemset in maximal:
+            yield f"  {_fmt(itemset)}"
+    yield f"candidates: {run.candidates}"
+    if run.build_ms is not None:
+        yield f"time_build_ms: {run.build_ms:.3f}"
+    yield f"time_mine_ms: {run.mine_ms:.3f}"
+
+
 def cmd_mine(args) -> int:
     name, db = _load_db(args)
     sigma = resolve_sigma(args.min_sup, len(db))
     run = ALGORITHMS[args.algo](db, sigma)
-    maximal = run.maximal
-    if maximal is None:
-        maximal = sorted(pc_miner.maximal_frequent(run.frequent))
-    print(f"dataset: {name} ({len(db)} transactions, {len(db.universe)} items)")
-    print(f"algorithm: {args.algo}")
-    print(f"min_sup: {sigma}")
-    ranked = sorted(run.frequent.items())
-    print(f"frequent itemsets: {len(ranked)}")
-    if not args.quiet:
-        for itemset, support in ranked:
-            print(f"  {_fmt(itemset)}: {support}")
-    print(f"maximal: {len(maximal)}")
-    if not args.quiet:
-        for itemset in maximal:
-            print(f"  {_fmt(itemset)}")
-    print(f"candidates: {run.candidates}")
-    if run.build_ms is not None:
-        print(f"time_build_ms: {run.build_ms:.3f}")
-    print(f"time_mine_ms: {run.mine_ms:.3f}")
+    lines = _report(name, db, args.algo, sigma, run, args.quiet)
+    while block := list(islice(lines, REPORT_BLOCK_LINES)):
+        block.append("")  # the last line's newline
+        sys.stdout.write("\n".join(block))
     return EXIT_OK
 
 
@@ -288,22 +316,30 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    with warnings.catch_warnings():
-        warnings.simplefilter("default")
-        warnings.showwarning = _show_warning
-        try:
-            return args.func(args)
-        except BrokenPipeError:
-            # Nobody reads stdout any more; point it at devnull so that the
-            # flush at interpreter exit does not fail on the closed pipe again.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return EXIT_BROKEN_PIPE
-        except baselines.UniverseTooLargeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_MISMATCH
-        except (dataset_io.TransactionParseError, OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    collecting = gc.isenabled()
+    gc.disable()  # see the module docstring; a caller's collector is left as found
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            warnings.showwarning = _show_warning
+            try:
+                code = args.func(args)
+                sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+                return code
+            except BrokenPipeError:
+                # Nobody reads stdout any more; point it at devnull so that the
+                # flush at interpreter exit does not fail on the closed pipe again.
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                return EXIT_BROKEN_PIPE
+            except baselines.UniverseTooLargeError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_MISMATCH
+            except (dataset_io.TransactionParseError, OSError, ValueError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -124,12 +124,12 @@ class VerticalIndex:
     first to list every itemset that some stored itemset holds, each once.
     support() ANDs its items' rows itself and counts the hit with one
     popcount. The first support() after a change builds the count weight
-    planes (bit b of plane j is bit j of counts[b] - 1) together with their
-    union, the bits of the itemsets that count more than 1, and a query
-    reads the planes only when its hit meets that union. The planes are
-    stored before the union and a query reads the union first, so a query
-    that finds the union finds its planes, and racing queries at worst
-    build twice.
+    planes (bit b of plane j is bit j of counts[b] - 1), all of them in one
+    pass over the counts, together with their union, the bits of the
+    itemsets that count more than 1, and a query reads the planes only
+    when its hit meets that union. The planes are stored before the union
+    and a query reads the union first, so a query that finds the union
+    finds its planes, and racing queries at worst build twice.
     """
 
     __slots__ = ("rows", "counts", "_planes", "_repeated")
@@ -229,10 +229,26 @@ class VerticalIndex:
         return total
 
     def _weigh(self) -> int:
-        """Build the count weight planes and their union; store the planes first."""
-        excess = [max(count - 1, 0) for count in self.counts]  # an empty itemset may count 0
-        planes = tuple(_mask(b for b, e in enumerate(excess) if e >> j & 1)
-                       for j in range(max(excess, default=0).bit_length()))
+        """Build the count weight planes and their union; store the planes first.
+
+        One pass over the counts fills a byte buffer per plane: a count
+        above 1 sets its bit in the buffers of its excess's set bits, which
+        are looked up once per distinct count. An empty itemset may count 0.
+        """
+        counts = self.counts
+        size = (len(counts) + 7) >> 3
+        buffers = [bytearray(size) for _ in range(max(max(counts, default=0) - 1, 0).bit_length())]
+        into: dict[int, list[bytearray]] = {}  # count -> the buffers its excess sets
+        for b, count in enumerate(counts):
+            if count > 1:
+                sets = into.get(count)
+                if sets is None:
+                    sets = into[count] = [buf for j, buf in enumerate(buffers)
+                                          if (count - 1) >> j & 1]
+                byte, bit = b >> 3, 1 << (b & 7)
+                for buf in sets:
+                    buf[byte] |= bit
+        planes = tuple(int.from_bytes(buf, "little") for buf in buffers)
         self._planes = planes
         self._repeated = repeated = reduce(or_, planes, 0)
         return repeated

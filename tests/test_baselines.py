@@ -50,6 +50,12 @@ def test_transaction_db_validation():
     assert len(generated) == 3 and generated.rows == ((0,),) * 3 and generated.universe == (0, 1)
     with pytest.raises(ValueError, match="transaction 2 uses items outside"):
         TransactionDB(rows=(row for row in [[0], [7]]), universe=[0, 1])
+    # Each distinct row is checked once; a refusal names the first transaction holding it.
+    for rows, message in [([(1,), (), (1,), ()], "transaction 2 is empty"),
+                          ([(0,), (0,), (7,), (), (7,)], "transaction 3 uses items outside"),
+                          ([(0,), (0,), (), (7,), ()], "transaction 3 is empty")]:
+        with pytest.raises(ValueError, match=message):
+            TransactionDB(rows=rows, universe=(0, 1))
 
 
 def test_tally_keeps_first_occurrence_order_and_every_row():
@@ -121,6 +127,23 @@ def test_apriori_work_guard(monkeypatch):
             r"the 3-item candidates bring its scans to 8 tests over 2 distinct rows, "
             r"past the 7-row-test work guard")):
         apriori_mine(db, 1)
+
+
+def test_apriori_candidate_guard(monkeypatch):
+    db = TransactionDB.from_itemsets(GUARD_ROWS)  # 3 pairs and 1 triple joined
+    monkeypatch.setattr(baselines, "APRIORI_MAX_CANDIDATES", 4)  # exactly the joins
+    assert len(apriori_mine(db, 1).frequent) == 7
+    monkeypatch.setattr(baselines, "APRIORI_MAX_CANDIDATES", 3)
+    with pytest.raises(UniverseTooLargeError, match=(
+            r"the 3-item candidates bring its joins to 4 candidates, "
+            r"past the 3-candidate guard")):
+        apriori_mine(db, 1)
+    joined = []
+    monkeypatch.setattr(baselines, "_join_level", lambda level: joined.append(level) or [])
+    monkeypatch.setattr(baselines, "APRIORI_MAX_CANDIDATES", 2)
+    with pytest.raises(UniverseTooLargeError, match="the 2-item candidates bring its joins to 3"):
+        apriori_mine(db, 1)
+    assert joined == []
 
 
 def test_apriori_work_guard_refuses_a_level_before_joining_it(monkeypatch):

@@ -2,6 +2,8 @@
 
 import contextlib
 import csv
+import gc
+import hashlib
 import io
 import os
 import subprocess
@@ -20,6 +22,7 @@ from pcmine.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
+    REPORT_BLOCK_LINES,
     RunOutcome,
     main,
     resolve_sigma,
@@ -112,6 +115,87 @@ def test_mine_pcminer_demo(capsys):
     assert "maximal: 2" in out
     assert "  0 2 3: 5" in out
     assert "time_build_ms:" in out and "time_mine_ms:" in out
+
+
+DEMO_REPORT = """\
+dataset: demo8.dat (8 transactions, 6 items)
+algorithm: pcminer
+min_sup: 4
+frequent itemsets: 11
+  0: 6
+  0 2: 5
+  0 2 3: 5
+  0 3: 5
+  2: 7
+  2 3: 7
+  2 3 5: 4
+  2 5: 4
+  3: 7
+  3 5: 4
+  5: 4
+maximal: 2
+  0 2 3
+  2 3 5
+candidates: 6
+"""
+
+
+class WriteLog(io.StringIO):
+    """A stdout that keeps each write's text."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+# sha256 of the reports without their time_* lines, as one print per line wrote them
+@pytest.mark.parametrize("argv, digest", [
+    (["--input", DEMO, "--min-sup", "4"],
+     hashlib.sha256(DEMO_REPORT.encode()).hexdigest()),
+    (["--input", DEMO, "--min-sup", "4", "--quiet"],
+     "efc564b88abdf7710969513c6c8e5e80dda48abac55ad0e24a61418df4b45f8b"),
+    (["--synthetic", "2000,12,0.85,5", "--min-sup", "0.2"],  # 4,240 lines, 17 blocks
+     "81d0ff108beacb71a4e8e6362d2c7c313bbddecbdb8e6725eb64f50cb1b8bdde"),
+    (["--synthetic", "2000,12,0.85,5", "--min-sup", "0.2", "--quiet"],
+     "d1bb310e661935213ecbc063d5a8cb6bf14be63215b8fde321963bfd3305db89"),
+], ids=["demo8", "demo8-quiet", "synthetic", "synthetic-quiet"])
+def test_mine_report_is_written_in_blocks_byte_for_byte(monkeypatch, argv, digest):
+    stdout = WriteLog()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["mine", *argv]) == EXIT_OK
+    out = stdout.getvalue()
+    stable = "".join(line + "\n" for line in stable_lines(out))
+    assert hashlib.sha256(stable.encode()).hexdigest() == digest
+    lines = out.count("\n")
+    assert len(stdout.writes) == -(-lines // REPORT_BLOCK_LINES)
+    assert all(text.endswith("\n") and text.count("\n") <= REPORT_BLOCK_LINES
+               for text in stdout.writes)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("argv, expected", [
+    (["mine", "--input", DEMO, "--min-sup", "4"], EXIT_OK),
+    (["mine", "--input", DEMO, "--min-sup", "1.5"], EXIT_USAGE),
+    (["mine", "--synthetic", "10,30,0.2,3", "--algo", "brute"], EXIT_MISMATCH),
+], ids=["ok", "usage-error", "refusal"])
+def test_main_pauses_the_collector_and_leaves_it_as_found(capsys, monkeypatch, enabled, argv,
+                                                          expected):
+    during = []
+    load = cli._load_db
+    monkeypatch.setattr(cli, "_load_db", lambda args: during.append(gc.isenabled()) or load(args))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert main(argv) == expected
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert during == [False]
 
 
 def test_mine_fractional_min_sup_matches_absolute(capsys):
@@ -409,6 +493,14 @@ def test_bad_min_sup_exits_two(capsys):
     assert "min-sup" in err
 
 
+@pytest.mark.parametrize("text", ["\u0664", "\u0660.\u0665"])  # 4 and 0.5 in Arabic-Indic digits
+def test_a_non_ascii_min_sup_exits_two(capsys, text):
+    # a transaction file may not hold these digits either (dataset_io: bad item id)
+    code, out, err = run(capsys, "mine", "--input", DEMO, "--min-sup", text)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: cannot read min-sup {text!r}: not ASCII text\n"
+
+
 def test_parse_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.dat"
     bad.write_text("1 2\noops\n", encoding="utf-8")
@@ -482,6 +574,42 @@ def test_a_reader_that_goes_away_ends_the_run_quietly():
     assert err == b""
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_reader_gone_before_the_run_starts_ends_it_quietly(unbuffered):
+    # buffered, demo8's report fits in the buffer, so only the flush at the end meets the pipe
+    command, env = module_command("mine", "--input", DEMO, "--min-sup", "4")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(command, env=env, stdout=write_end, stderr=subprocess.PIPE,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_BROKEN_PIPE
+    assert done.stderr == b""
+
+
+def test_one_long_row_is_refused_fast_by_every_miner(tmp_path, capsys):
+    # 2**26 - 27 itemsets of two or more items: under Apriori's row-test guard, not its
+    # candidate guard
+    path = tmp_path / "row26.dat"
+    path.write_text(" ".join(map(str, range(26))) + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "mine", "--input", str(path), "--algo", "apriori")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_MISMATCH and out == ""
+    assert err.endswith(f"past the {baselines.APRIORI_MAX_CANDIDATES}-candidate guard\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compare", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_MISMATCH and err == ""
+    assert [line.partition(" (")[0] for line in out.splitlines()] == [
+        "note: pcminer skipped", "note: apriori skipped", "note: brute skipped"]
+
+
 def test_cli_start_up_imports_no_dataclasses():
     # dataclasses brings inspect, ast and dis, a cost that every CLI start would pay
     src = str(Path(cli.__file__).resolve().parent.parent)
@@ -533,24 +661,37 @@ MIN_SUPS = st.one_of(
 )
 
 
-@given(data=st.data(), min_sup=MIN_SUPS)
+@given(data=st.data(), min_sup=MIN_SUPS, command=st.sampled_from(["mine", "compare"]))
 @settings(max_examples=300, deadline=None)
-def test_readme_legal_inputs_exit_cleanly(tmp_path_factory, data, min_sup):
-    """mine on drawn inputs exits 0, 1 or 2, with no traceback, well inside a time bound."""
+def test_readme_legal_inputs_exit_cleanly(tmp_path_factory, data, min_sup, command):
+    """mine and compare on drawn inputs exit 0, 1 or 2, with no traceback, well inside a time bound."""
     path = tmp_path_factory.getbasetemp() / "sweep.dat"
     source = data.draw(st.one_of(synthetic_sources(), file_sources(path)))
+    argv = [command, *source, f"--min-sup={min_sup}"]
+    if command == "mine":
+        argv += ["--algo", "pcminer"]
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
-        # a test-sized guard: the walk and the frequent family stay small
+        # test-sized guards: every miner's work and output stay small
         patch.setattr(pc_miner, "WALK_MAX_WORK", 2**12)
-        code = main(["mine", *source, f"--min-sup={min_sup}", "--algo", "pcminer"])
-    event(f"exit {code}")
+        patch.setattr(baselines, "APRIORI_MAX_WORK", 2**16)
+        patch.setattr(baselines, "APRIORI_MAX_CANDIDATES", 2**10)
+        patch.setattr(baselines, "BRUTE_FORCE_MAX_WORK", 2**16)
+        code = main(argv)
+    event(f"{command} exit {code}")
     assert time.perf_counter() - start < 3.0
     assert "Traceback" not in err.getvalue()
-    if code == EXIT_OK:
+    lines = out.getvalue().splitlines()
+    notes = [line for line in lines if line.startswith("note: ")]
+    if code == EXIT_OK and command == "mine":
         assert out.getvalue().startswith("dataset: ")
+    elif code == EXIT_OK:  # the miners that ran agree
+        assert len(notes) <= 1 and lines == [*notes, lines[-1]]
+        assert lines[-1].startswith("EQUAL on ")
+    elif command == "compare" and code == EXIT_MISMATCH:  # never a DIFFER line
+        assert len(notes) >= 2 and lines == notes
     else:
         assert code in (EXIT_MISMATCH, EXIT_USAGE)
         assert out.getvalue() == ""

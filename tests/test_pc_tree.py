@@ -6,7 +6,9 @@ scan of the raw transactions are its oracles.
 """
 
 import random
+from functools import reduce
 from itertools import combinations, islice
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from pcmine.baselines import TransactionDB, apriori_mine
 from pcmine.dataset_io import SyntheticSpec, generate_synthetic
 from pcmine.pc_miner import mine
-from pcmine.pc_tree import PCNode, PCTree, VerticalIndex, build_tree
+from pcmine.pc_tree import PCNode, PCTree, VerticalIndex, _mask, build_tree
 from pcmine.prime_codec import build_prime_table, encode
 
 A, B, C, D, E, F = range(6)
@@ -240,6 +242,22 @@ def test_count_excess_planes_answer_every_subset(copies):
             assert tree.support(items) == tree.walk_support(encode(items, table)) == count_oracle(
                 rows, items)
     assert len(tree.index._planes) == (copies - 1).bit_length()
+
+
+@given(st.lists(st.one_of(st.integers(1, 40), st.integers(2**10, 2**20)), max_size=300))
+@settings(max_examples=100, deadline=None)
+def test_weigh_matches_a_plane_by_plane_reference(counts):
+    index = VerticalIndex()
+    index.add((), 0)  # a root, counting 0
+    for b, count in enumerate(counts):
+        index.add((b,), count)
+    repeated = index._weigh()
+    # one _mask pass over the excesses per plane
+    excess = [max(count - 1, 0) for count in index.counts]
+    reference = tuple(_mask(b for b, e in enumerate(excess) if e >> j & 1)
+                      for j in range(max(excess).bit_length()))
+    assert index._planes == reference
+    assert repeated == index._repeated == reduce(or_, reference, 0)
 
 
 def test_count_excess_planes_edge_cases():
