@@ -8,7 +8,6 @@ reference miners are included as oracles and comparison baselines.
 """
 
 from .baselines import (
-    BRUTE_FORCE_MAX_ITEMS,
     BaselineResult,
     TransactionDB,
     UniverseTooLargeError,
@@ -47,7 +46,6 @@ from .prime_codec import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BRUTE_FORCE_MAX_ITEMS",
     "BaselineResult",
     "ForeignPrimeError",
     "Itemset",

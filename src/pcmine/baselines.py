@@ -1,31 +1,34 @@
 """Reference miners: exhaustive enumeration and level-wise Apriori.
 
-Apriori reads TransactionDB.tally(), the one place duplicate rows are
-collapsed, which build_tree reads too: it counts each distinct row once,
-weighted by its multiplicity. Brute force scans the raw rows and reads
-nothing the other two miners share, so it is the independent check: a wrong
-tally makes pcminer and Apriori agree with each other and differ from it.
-Brute force checks its guards (brute_force_refusal) before it counts
-anything, so a refusal costs nothing. Apriori checks its two guards, on row
-tests and on candidates, before each level's join, so a refused level is
-never built.
+TransactionDB is the one place a row is made canonical: every miner reads
+ascending, duplicate-free rows. Apriori reads TransactionDB.tally(), the one
+place duplicate rows are collapsed, which build_tree reads too: it counts
+each distinct row once, weighted by its multiplicity. Brute force counts
+every non-empty subset of every raw row, which is the definition of support,
+and reads nothing the other two miners share, so it is the independent
+check: a wrong tally makes pcminer and Apriori agree with each other and
+differ from it. Brute force checks its one guard, the number of subsets it
+would count, before it counts anything, so a refusal costs nothing. Apriori
+checks its two guards, on row tests and on candidates, before each level's
+join, so a refused level is never built.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import Counter, namedtuple
-from itertools import combinations, groupby
+from itertools import chain, combinations, groupby
 from math import comb
+from operator import lt
 from typing import Iterable, Sequence
 
 from .prime_codec import Itemset, as_itemset
 
-BRUTE_FORCE_MAX_ITEMS = 24
-# Brute force tests every subset against every row, about 60 ns a pair in
-# CPython, so 2**25 subset-rows take about 2 s. It refuses more work than this
-# even under the item cap: 24 items over 40,000 rows would take hours.
-BRUTE_FORCE_MAX_WORK = 2**25
+# Brute force counts each non-empty subset of each row, 2**|row| - 1 of them,
+# at 240-600 ns a subset in CPython. At 2**20 subsets its worst case, four
+# disjoint 18-item rows at support 1 whose subsets are all distinct, takes
+# about 1.3 s and 250 MB; sparse-walk's 1,000 rows hold 199,584 subsets.
+BRUTE_FORCE_MAX_WORK = 2**20
 # Apriori tests each candidate against each distinct row, about 65 ns a test
 # in CPython, so 2**27 row tests take about 9 s. Its work is the join's
 # candidates times the distinct rows, summed over the levels and checked
@@ -45,13 +48,21 @@ APRIORI_MAX_CANDIDATES = 2**16
 class UniverseTooLargeError(ValueError):
     """A miner refused exponential work before starting it.
 
-    Brute force raises it when the items or the subset-row work exceed a
-    guard, Apriori when its row tests would pass APRIORI_MAX_WORK or its
-    joined candidates APRIORI_MAX_CANDIDATES, and
+    Brute force raises it when the rows hold more non-empty subsets than
+    BRUTE_FORCE_MAX_WORK, Apriori when its row tests would pass
+    APRIORI_MAX_WORK or its joined candidates APRIORI_MAX_CANDIDATES, and
     pc_miner.mine() when the candidate heads bound its walk above
     pc_miner.WALK_MAX_WORK. The CLI exits 1 on it, and compare prints it as
     a note and cross-checks the miners that ran.
     """
+
+
+def _item_ids(ids):
+    """ids, once each is known to be a non-negative integer."""
+    for item in ids:
+        if not isinstance(item, int) or item < 0:
+            raise ValueError(f"item ids must be non-negative integers, got {item!r}")
+    return ids
 
 
 class TransactionDB:
@@ -59,27 +70,36 @@ class TransactionDB:
 
     rows holds each transaction's itemset in order, and a transaction's id is
     its position: transaction t is rows[t - 1]. universe is the ascending
-    tuple of item ids the rows draw from. The constructor validates and keeps
-    tuples of what it is given, so a list passed in cannot change the
-    database later and a generator is read once; a tuple is kept as it is.
-    It checks each distinct row once, in order of first occurrence, so a
-    refusal names the first transaction that holds a bad row.
+    tuple of item ids the rows draw from; an id is a non-negative integer,
+    checked before any two ids are compared. The constructor is the one
+    place a row is made canonical: a row that is already strictly ascending
+    is kept as it is, and any other becomes its as_itemset(), sorted and
+    without repeated items. It keeps tuples of what it is given, so a list
+    passed in cannot change the database later and a generator is read
+    once; a tuple of canonical rows is kept as it is. It checks each
+    distinct row once, in order of first occurrence, so a refusal names the
+    first transaction that holds a bad row.
     tally() is the only place duplicate rows are collapsed.
     """
 
     __slots__ = ("rows", "universe")
 
     def __init__(self, rows: Iterable[Iterable[int]], universe: Iterable[int]):
-        rows, universe = tuple(map(tuple, rows)), tuple(universe)
+        rows, universe = tuple(map(tuple, rows)), _item_ids(tuple(universe))
         allowed = set(universe)
         if list(universe) != sorted(allowed):
             raise ValueError("universe must be strictly ascending")
+        canonical = {}
         for items in dict.fromkeys(rows):
             if not items:
                 raise ValueError(f"transaction {rows.index(items) + 1} is empty")
             if not allowed.issuperset(items):
                 raise ValueError(
                     f"transaction {rows.index(items) + 1} uses items outside the universe")
+            if not all(map(lt, items, items[1:])):
+                canonical[items] = as_itemset(items)
+        if canonical:
+            rows = tuple(canonical.get(items, items) for items in rows)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "universe", universe)
 
@@ -106,13 +126,15 @@ class TransactionDB:
     @classmethod
     def from_itemsets(cls, itemsets: Iterable[Iterable[int]],
                       universe: Sequence[int] | None = None) -> "TransactionDB":
-        """Canonicalize itemsets into rows; transaction t is the t-th itemset.
+        """A database whose transaction t holds the items of the t-th itemset.
 
-        universe defaults to the union of all items.
+        An itemset may list its items in any order and more than once; the
+        constructor makes each row canonical. universe defaults to the union
+        of all items.
         """
-        rows = tuple(map(as_itemset, itemsets))
+        rows = tuple(map(tuple, itemsets))
         if universe is None:
-            universe = sorted(set().union(*rows))
+            universe = sorted(_item_ids(set().union(*rows)))
         return cls(rows, universe)
 
     @property
@@ -163,40 +185,26 @@ def _count(single: Sequence[int], repeated: Sequence[tuple[int, int]], m: int) -
             + sum(k for t, k in repeated if t & m == m))
 
 
-def brute_force_refusal(db: TransactionDB) -> str | None:
-    """Why brute_force_mine refuses db, or None when it runs."""
-    n = len(db.universe)
-    if n > BRUTE_FORCE_MAX_ITEMS:
-        return f"{n} items exceed the {BRUTE_FORCE_MAX_ITEMS}-item enumeration guard"
-    if 2**n * len(db) > BRUTE_FORCE_MAX_WORK:
-        return (f"2**{n} subsets x {len(db)} rows exceed "
-                f"the {BRUTE_FORCE_MAX_WORK}-subset-row work guard")
-    return None
-
-
 def brute_force_mine(db: TransactionDB, sigma: int) -> BaselineResult:
-    """Count every non-empty subset of the universe against every transaction.
+    """Count every non-empty subset of every transaction: the definition of support.
 
-    Exponential in the universe size by construction, hence the hard caps
-    (see brute_force_refusal); useful purely as ground truth for the other
-    miners.
+    Exponential in the transaction length by construction, so it raises
+    UniverseTooLargeError before counting anything when the rows hold more
+    than BRUTE_FORCE_MAX_WORK non-empty subsets in all; useful purely as
+    ground truth for the other miners. candidates_generated is the number of
+    distinct itemsets counted.
     """
-    refusal = brute_force_refusal(db)
-    if refusal is not None:
-        raise UniverseTooLargeError(f"the exhaustive miner is capped: {refusal}")
-    n = len(db.universe)
+    # An exact int: a row can hold thousands of items, past any float.
+    work = sum((1 << len(items)) - 1 for items in db.rows)
+    if work > BRUTE_FORCE_MAX_WORK:
+        raise UniverseTooLargeError(
+            f"the exhaustive miner is capped: its rows hold 2**{work.bit_length() - 1} or more "
+            f"subsets, past the {BRUTE_FORCE_MAX_WORK}-subset work guard")
     sig = effective_sigma(sigma)
-    index = {item: i for i, item in enumerate(db.universe)}
-    masks = [_mask(items, index) for items in db.rows]
-    frequent: dict[Itemset, int] = {}
-    candidates = 0
-    for size in range(1, n + 1):
-        for combo in combinations(db.universe, size):
-            candidates += 1
-            sup = _count(masks, (), _mask(combo, index))
-            if sup >= sig:
-                frequent[combo] = sup
-    return BaselineResult(frequent=frequent, candidates_generated=candidates)
+    counts = Counter(chain.from_iterable(
+        combinations(items, size) for items in db.rows for size in range(1, len(items) + 1)))
+    frequent = {itemset: sup for itemset, sup in counts.items() if sup >= sig}
+    return BaselineResult(frequent=frequent, candidates_generated=len(counts))
 
 
 def _prefix(itemset: Itemset) -> Itemset:

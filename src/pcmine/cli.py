@@ -1,14 +1,15 @@
 """Command-line front end: mine one database, cross-check miners, sweep thresholds.
 
 Each subcommand takes only the flags it reads: --min-sup belongs to mine and
-compare, --quiet to mine, and bench writes its CSV to stdout alone.
+compare, --quiet to mine, and bench writes its CSV to stdout alone. The
+integers of --min-sup and --synthetic are read by one reader, _read_int,
+and only ASCII text is read, as in a transaction file.
 
 A miner refuses exponential work by raising baselines.UniverseTooLargeError,
-brute force past its item or subset-row guard, Apriori past its row-test or
-candidate guard and pcminer past its walk guard; the CLI asks no guard
-itself. mine exits 1 on a refusal; compare prints it as a `note:` line and
-cross-checks the miners that ran, in ALGORITHMS order, against the first of
-them.
+brute force past its subset guard, Apriori past its row-test or candidate
+guard and pcminer past its walk guard; the CLI asks no guard itself. mine
+exits 1 on a refusal; compare prints it as a `note:` line and cross-checks
+the miners that ran, in ALGORITHMS order, against the first of them.
 
 Exit codes: 0 on success (and on EQUAL for compare), 1 when compare finds a
 semantic difference or runs fewer than two miners, or a miner refuses the
@@ -103,6 +104,40 @@ def _quote(text: str) -> str:
     return f"{text[:20]!r}... ({len(text)} characters)"
 
 
+def _read_int(text: str) -> int:
+    """An integer literal in ASCII text, with leading zeros read past.
+
+    int()'s grammar, [+-]digit(_?digit)*, is checked here so that leading
+    zeros stay out of int(), which reads at most 4,300 digits
+    (sys.get_int_max_str_digits); a number of more significant digits is
+    refused. An underscore at either end of rest doubles up in the padded
+    text. Only ASCII is read: int() and float() would take other scripts'
+    digits, which a transaction file may not hold.
+    """
+    if not text.isascii():
+        raise ValueError("not ASCII text")
+    body = text.strip()
+    rest = body[1:] if body.startswith(("+", "-")) else body
+    digits = rest.replace("_", "")
+    if not digits.isdecimal() or "__" in f"_{rest}_":
+        raise ValueError("not an integer")
+    kept = digits.lstrip("0")
+    if len(kept) > 4300:
+        raise ValueError("more than 4300 significant digits")
+    value = int(kept or "0")
+    return -value if body.startswith("-") else value
+
+
+def _read_float(text: str) -> float:
+    """float() of ASCII text."""
+    if not text.isascii():
+        raise ValueError("not ASCII text")
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError("not a decimal number") from None
+
+
 def resolve_sigma(text: str, db_size: int) -> int:
     """An integer literal is an absolute count; a fraction f in (0, 1] is ceil(f * |D|).
 
@@ -113,26 +148,17 @@ def resolve_sigma(text: str, db_size: int) -> int:
     baselines.effective_sigma's warning. Leading zeros are read past in
     either form, so 0004 is 4, and a number of more than 4,300 significant
     digits is refused. An error quotes only a short prefix of the text.
-    Only ASCII text is read: float() and int() would take other scripts'
-    digits, which a transaction file may not hold.
+    Only ASCII text is read (_read_int and _read_float).
     """
     try:
-        if not text.isascii():
-            raise ValueError("not ASCII text")
         if any(c in text for c in ".eE"):
-            try:
-                at_most_one = float(text) <= 1.0  # checks the syntax first
-            except ValueError:
-                raise ValueError("not a decimal number") from None
+            at_most_one = _read_float(text) <= 1.0  # checks the syntax first
             mantissa, _, exponent = text.strip().replace("_", "").lower().partition("e")
             whole, _, fraction = mantissa.partition(".")
-            # Zeros on either end stay out of int(), which reads at most 4,300
-            # digits (sys.get_int_max_str_digits).
+            # Zeros on either end stay out of _read_int, as leading zeros do there.
             digits = (whole + fraction).lstrip("+-0")
             kept = digits.rstrip("0")
-            if len(kept) > 4300:
-                raise ValueError("more than 4300 significant digits")
-            numerator = int(kept or "0") * 10 ** (len(digits) - len(kept))
+            numerator = _read_int(kept or "0") * 10 ** (len(digits) - len(kept))
             # The digits decide positivity, since float() reads 1e-400 as 0.0.
             if not (at_most_one and numerator > 0 and not mantissa.startswith("-")):
                 raise ValueError("a fractional min-sup must be in (0, 1]")
@@ -148,20 +174,7 @@ def resolve_sigma(text: str, db_size: int) -> int:
             # float() reads 1.00000000000000000001 as 1.0, so min() does too
             value = min(-(-numerator * db_size // 10 ** shift), db_size)
         else:
-            # int()'s grammar, [+-]digit(_?digit)*, is checked here so that
-            # leading zeros stay out of int() as above; an underscore at
-            # either end of rest doubles up in the padded text.
-            body = text.strip()
-            rest = body[1:] if body.startswith(("+", "-")) else body
-            digits = rest.replace("_", "")
-            if not digits.isdecimal() or "__" in f"_{rest}_":
-                raise ValueError("not an integer")
-            kept = digits.lstrip("0")
-            if len(kept) > 4300:
-                raise ValueError("more than 4300 significant digits")
-            value = int(kept or "0")
-            if body.startswith("-"):
-                value = -value
+            value = _read_int(text)
     except ValueError as exc:
         raise ValueError(f"cannot read min-sup {_quote(text)}: {exc}") from None
     if value < 0:
@@ -174,9 +187,14 @@ def _load_db(args) -> tuple[str, TransactionDB]:
         parts = args.synthetic.split(",")
         if len(parts) != 4:
             raise ValueError("--synthetic wants N,ITEMS,DENSITY,SEED")
-        spec = dataset_io.SyntheticSpec(
-            num_transactions=int(parts[0]), num_items=int(parts[1]),
-            density=float(parts[2]), seed=int(parts[3]))
+        fields = []
+        for field, part in zip(("N", "ITEMS", "DENSITY", "SEED"), parts):
+            try:  # read as --min-sup's numbers are
+                fields.append((_read_float if field == "DENSITY" else _read_int)(part))
+            except ValueError as exc:
+                raise ValueError(
+                    f"cannot read --synthetic {field} {_quote(part)}: {exc}") from None
+        spec = dataset_io.SyntheticSpec(*fields)
         return spec.name, dataset_io.generate_synthetic(spec)
     return Path(args.input).name, dataset_io.load_transactions(args.input)
 

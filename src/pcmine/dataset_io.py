@@ -14,7 +14,6 @@ from collections import namedtuple
 from typing import Iterable, Iterator
 
 from .baselines import TransactionDB
-from .prime_codec import Itemset, as_itemset
 
 STATS_HEADER = ("dataset", "algo", "min_sup", "num_frequent", "num_candidates", "runtime_ms")
 
@@ -40,41 +39,40 @@ class _ItemIds(dict):
 def load_transactions(path) -> TransactionDB:
     """Read a whitespace-separated transaction file.
 
-    Duplicate ids within a line are collapsed, blank lines are skipped and
-    reported in one aggregate warning, and the kept lines are the rows in
-    file order, so a transaction's id is its position among them.
+    Blank lines are skipped and reported in one aggregate warning, and the
+    kept lines are the rows in file order, so a transaction's id is its
+    position among them. TransactionDB makes each row canonical, so ids
+    within a line may come in any order, and a repeated id counts once.
 
     The file is read line by line, and each distinct line is parsed once: a
-    line whose exact text was seen before reuses that line's itemset, so
-    heavily duplicated files pay for tokenizing and canonicalizing once per
-    distinct line. Each distinct token is checked and converted once too,
-    the first time a line holds it, and the universe is the set of their
-    ids, so two spellings of one id, such as 7 and 07, give one item. Only
-    lines that parsed cleanly are remembered, so a bad token raises with the
-    number of the first line that holds it. A byte that is not UTF-8 is read
-    as a lone surrogate, so it makes a bad token too, reported with its file
-    and line.
+    line whose exact text was seen before reuses that line's ids, so heavily
+    duplicated files pay for tokenizing once per distinct line. Each
+    distinct token is checked and converted once too, the first time a line
+    holds it, and the universe is the set of their ids, so two spellings of
+    one id, such as 7 and 07, give one item. Only lines that parsed cleanly
+    are remembered, so a bad token raises with the number of the first line
+    that holds it. A byte that is not UTF-8 is read as a lone surrogate, so
+    it makes a bad token too, reported with its file and line.
     """
     rows = []
-    parsed: dict[str, Itemset] = {}
+    parsed: dict[str, tuple[int, ...]] = {}
     ids = _ItemIds()
     lookup = ids.__getitem__
     skipped = 0
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
-            itemset = parsed.get(line)
-            if itemset is None:
+            row = parsed.get(line)
+            if row is None:
                 try:
-                    itemset = parsed[line] = as_itemset(map(lookup, line.split()))
+                    row = parsed[line] = tuple(map(lookup, line.split()))
                 except TransactionParseError as exc:
                     raise TransactionParseError(f"{path}:{line_no}: {exc}") from None
-            if not itemset:
+            if not row:
                 skipped += 1
                 continue
-            rows.append(itemset)
+            rows.append(row)
     if skipped:
         warnings.warn(f"{path}: skipped {skipped} empty transaction line(s)", stacklevel=2)
-    # The rows are canonical already, so from_itemsets would only redo as_itemset.
     return TransactionDB(rows, sorted(set(ids.values())))
 
 
@@ -129,7 +127,6 @@ def generate_synthetic(spec: SyntheticSpec) -> TransactionDB:
         items = tuple(i for i in range(spec.num_items) if next(draws) < threshold)
         if items:
             rows.append(items)
-    # Each row is ascending and duplicate-free already, so from_itemsets would only redo as_itemset.
     return TransactionDB(rows, range(spec.num_items))
 
 

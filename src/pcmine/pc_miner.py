@@ -107,12 +107,8 @@ def candidate_head_set(tree: PCTree, sigma: int) -> set[Itemset]:
     """
     sig = effective_sigma(sigma)
     frequencies = tree.frequency_table
-    reduced = []
-    for node in tree.root.children:
-        head = candidate_head(node.items, frequencies, sig)
-        if head:
-            reduced.append(head)
-    return maximal_frequent(reduced)
+    reduced = (candidate_head(node.items, frequencies, sig) for node in tree.root.children)
+    return maximal_frequent(filter(None, reduced))
 
 
 def mine(tree: PCTree, sigma: int) -> MiningResult:

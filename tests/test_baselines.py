@@ -1,6 +1,8 @@
 """Baseline miner tests: frozen counts, guard behavior, mutual agreement."""
 
 import copy
+import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 
 from pcmine import baselines
 from pcmine.baselines import (
-    BRUTE_FORCE_MAX_ITEMS,
     BRUTE_FORCE_MAX_WORK,
     TransactionDB,
     UniverseTooLargeError,
@@ -17,9 +18,10 @@ from pcmine.baselines import (
     _prune_level,
     apriori_mine,
     brute_force_mine,
-    brute_force_refusal,
 )
 from pcmine.dataset_io import SyntheticSpec, generate_synthetic
+from pcmine.pc_miner import mine
+from pcmine.pc_tree import build_tree
 
 A, B, C, D, E, F = range(6)
 
@@ -58,6 +60,36 @@ def test_transaction_db_validation():
             TransactionDB(rows=rows, universe=(0, 1))
 
 
+def test_rows_are_made_canonical_at_construction():
+    row = (0, 2)
+    db = TransactionDB(rows=[row, (2, 0), (1, 1, 0), (2, 2)], universe=(0, 1, 2))
+    assert db.rows == ((0, 2), (0, 2), (0, 1), (2,))
+    assert db.rows[0] is row  # an ascending row is kept as it is
+    assert db.tally() == {(0, 2): 2, (0, 1): 1, (2,): 1}
+    canonical = ((0,), (0, 1))
+    assert TransactionDB(rows=canonical, universe=(0, 1)).rows == canonical
+
+
+@pytest.mark.parametrize("rows, universe", [
+    ([(-1,)], (-1, 0)),
+    ([(0,)], (0, 1.5)),
+    ([(1,)], (1.0,)),
+    ([("a",)], ("a",)),
+    ([(1,)], (1, "a")),  # refused before sorted() could compare 1 with "a"
+    ([(0,)], (0, None)),
+], ids=["negative", "fraction", "float", "string", "mixed", "none"])
+def test_item_ids_that_are_not_non_negative_integers_are_refused(rows, universe):
+    with pytest.raises(ValueError, match="item ids must be non-negative integers, got "):
+        TransactionDB(rows=rows, universe=universe)
+
+
+@pytest.mark.parametrize("itemsets", [[(-3, 1)], [(1,), ("a",)], [(2, 0.5)]],
+                         ids=["negative", "mixed", "fraction"])
+def test_from_itemsets_refuses_bad_ids_before_sorting_them(itemsets):
+    with pytest.raises(ValueError, match="item ids must be non-negative integers, got "):
+        TransactionDB.from_itemsets(itemsets)
+
+
 def test_tally_keeps_first_occurrence_order_and_every_row():
     db = TransactionDB.from_itemsets([(B,), (A, C), (B,), (D,), (A, C), (B,)])
     tally = db.tally()
@@ -84,38 +116,45 @@ def test_brute_force_single_transaction():
 
 def test_brute_force_demo_counts(demo_db):
     result = brute_force_mine(demo_db, 4)
-    assert result.candidates_generated == 2**6 - 1 == 63
+    assert result.candidates_generated == 47  # the distinct non-empty subsets of the rows
     assert len(result.frequent) == 11
 
 
 def test_brute_force_high_sigma_keeps_nothing(demo_db):
     result = brute_force_mine(demo_db, 9)
     assert result.frequent == {}
-    assert result.candidates_generated == 63
+    assert result.candidates_generated == 47
 
 
 def test_brute_force_guard():
+    # one 25-item row holds 2**25 - 1 subsets, refused before any is counted
     db = TransactionDB.from_itemsets([tuple(range(25))])
-    with pytest.raises(UniverseTooLargeError) as err:
+    start = time.perf_counter()
+    with pytest.raises(UniverseTooLargeError, match=(
+            r"the exhaustive miner is capped: its rows hold 2\*\*24 or more subsets, "
+            rf"past the {BRUTE_FORCE_MAX_WORK}-subset work guard")):
         brute_force_mine(db, 1)
-    assert str(BRUTE_FORCE_MAX_ITEMS) in str(err.value)
-
-
-def test_brute_force_work_guard():
-    # 2**20 subsets x 32 rows is exactly the budget; one more row is refused
-    rows = [tuple(range(20))] * (BRUTE_FORCE_MAX_WORK // 2**20)
-    assert brute_force_refusal(TransactionDB.from_itemsets(rows)) is None
-    over = TransactionDB.from_itemsets(rows + [(0,)])
-    assert "work guard" in brute_force_refusal(over)
-    with pytest.raises(UniverseTooLargeError) as err:
-        brute_force_mine(over, 1)
-    assert str(BRUTE_FORCE_MAX_WORK) in str(err.value)
+    assert time.perf_counter() - start < 1.0
 
 
 # Row tests per level at sigma 1, with two distinct rows: 3 items join into 3
 # pairs (6 tests), the 3 frequent pairs join into 1 triple (2 more), and the
-# triple joins into nothing.
+# triple joins into nothing. Brute force counts 7 + 3 + 7 subsets of the rows.
 GUARD_ROWS = [(A, B, C), (A, B), (A, B, C)]
+
+
+def test_brute_force_work_guard(monkeypatch):
+    db = TransactionDB.from_itemsets(GUARD_ROWS)
+    monkeypatch.setattr(baselines, "BRUTE_FORCE_MAX_WORK", 17)  # exactly the work
+    assert len(brute_force_mine(db, 1).frequent) == 7
+    monkeypatch.setattr(baselines, "BRUTE_FORCE_MAX_WORK", 16)
+    counted = []
+    monkeypatch.setattr(baselines, "combinations", lambda *args: counted.append(args) or ())
+    with pytest.raises(UniverseTooLargeError, match=(
+            r"the exhaustive miner is capped: its rows hold 2\*\*4 or more subsets, "
+            r"past the 16-subset work guard")):
+        brute_force_mine(db, 1)
+    assert counted == []
 
 
 def test_apriori_work_guard(monkeypatch):
@@ -241,3 +280,31 @@ def repeated_databases(draw):
 @settings(max_examples=60, deadline=None)
 def test_baselines_agree_property(db, sigma):
     assert apriori_mine(db, sigma).frequent == brute_force_mine(db, sigma).frequent
+
+
+@st.composite
+def unsorted_databases(draw):
+    """Rows of 1 to 6 draws from up to 6 items, repeats and any order kept, via the constructor."""
+    n_items = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.lists(st.lists(st.integers(min_value=0, max_value=n_items - 1),
+                                  min_size=1, max_size=6),
+                         min_size=1, max_size=12))
+    return TransactionDB(rows=rows, universe=range(n_items))
+
+
+@given(db=unsorted_databases(), sigma=st.integers(min_value=1, max_value=6))
+@settings(max_examples=100, deadline=None)
+def test_three_miners_agree_on_unsorted_rows_with_repeated_items(db, sigma):
+    expected = brute_force_mine(db, sigma).frequent
+    assert apriori_mine(db, sigma).frequent == expected
+    assert mine(build_tree(db), sigma).frequent == expected
+
+
+@given(db=st.one_of(small_databases(), repeated_databases(), unsorted_databases()))
+@settings(max_examples=100, deadline=None)
+def test_brute_force_support_is_the_literal_count(db):
+    counted = brute_force_mine(db, 1).frequent
+    rows = [set(items) for items in db.rows]
+    for size in range(1, len(db.universe) + 1):
+        for itemset in combinations(db.universe, size):
+            assert counted.get(itemset, 0) == sum(set(itemset) <= row for row in rows)

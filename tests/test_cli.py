@@ -180,7 +180,7 @@ def test_mine_report_is_written_in_blocks_byte_for_byte(monkeypatch, argv, diges
 @pytest.mark.parametrize("argv, expected", [
     (["mine", "--input", DEMO, "--min-sup", "4"], EXIT_OK),
     (["mine", "--input", DEMO, "--min-sup", "1.5"], EXIT_USAGE),
-    (["mine", "--synthetic", "10,30,0.2,3", "--algo", "brute"], EXIT_MISMATCH),
+    (["mine", "--synthetic", "10,30,0.9,3", "--algo", "brute"], EXIT_MISMATCH),
 ], ids=["ok", "usage-error", "refusal"])
 def test_main_pauses_the_collector_and_leaves_it_as_found(capsys, monkeypatch, enabled, argv,
                                                           expected):
@@ -215,7 +215,7 @@ def test_mine_brute_high_sigma(capsys):
     code, out, _ = run(capsys, "mine", "--input", DEMO, "--algo", "brute", "--min-sup", "9")
     assert code == EXIT_OK
     assert "frequent itemsets: 0" in out
-    assert "candidates: 63" in out
+    assert "candidates: 47" in out  # the distinct itemsets brute force counted
 
 
 def test_mine_quiet_drops_itemset_lines(capsys):
@@ -233,7 +233,7 @@ def test_mine_synthetic_source(capsys):
 def test_compare_demo_reports_equal(capsys):
     code, out, _ = run(capsys, "compare", "--input", DEMO, "--min-sup", "4")
     assert code == EXIT_OK
-    assert out.startswith("EQUAL")  # no note: demo8 is under both brute-force guards
+    assert out.startswith("EQUAL")  # no note: demo8 is under the brute-force guard
     assert "pcminer, apriori, brute" in out
 
 
@@ -244,21 +244,30 @@ def test_compare_synthetic_reports_equal(capsys):
 
 
 def test_compare_skips_brute_beyond_the_guard(capsys):
-    code, out, _ = run(capsys, "compare", "--synthetic", "20,30,0.2,9", "--min-sup", "8")
+    # 20 rows of about 15 of 30 items hold 1,767,916 subsets; at 11 the other walks are short
+    code, out, _ = run(capsys, "compare", "--synthetic", "20,30,0.5,9", "--min-sup", "11")
     assert code == EXIT_OK
     assert "brute skipped" in out
     assert "pcminer, apriori" in out
 
 
 def test_compare_skips_brute_past_the_work_guard(capsys):
-    # 20 items are under the item guard, but 2**20 subsets x 2,000 rows
-    # would keep brute force busy for about two minutes
-    code, out, _ = run(capsys, "compare", "--synthetic", "2000,20,0.3,7", "--min-sup", "0.2")
+    # 6,396,396 subsets in 20 rows: refused before any is counted
+    code, out, _ = run(capsys, "compare", "--synthetic", "20,30,0.55,9", "--min-sup", "12")
     assert code == EXIT_OK
-    assert out.startswith("note: brute skipped (the exhaustive miner is capped: "
-                          "2**20 subsets x 2000 rows exceed")
+    assert out.startswith("note: brute skipped (the exhaustive miner is capped: its rows hold "
+                          f"2**22 or more subsets, past the {baselines.BRUTE_FORCE_MAX_WORK}"
+                          "-subset work guard)\n")
     assert out.splitlines()[-1].startswith("EQUAL")
     assert "(pcminer, apriori)" in out
+
+
+def test_compare_checks_sparse_walk_against_brute_force(capsys):
+    # the sparse-walk benchmark's first database: 199,584 subsets, under the guard
+    code, out, _ = run(capsys, "compare", "--synthetic", "1000,20,0.3,7", "--min-sup", "0.05")
+    assert code == EXIT_OK
+    assert out == ("EQUAL on synthetic-1000x20-d0.3-s7: 210 frequent itemsets at min_sup 50 "
+                   "(pcminer, apriori, brute)\n")
 
 
 def test_compare_detects_an_injected_fault(capsys, monkeypatch):
@@ -457,7 +466,7 @@ def test_bench_stdout_when_no_stats_out(capsys):
     assert code == EXIT_OK
     lines = out.splitlines()
     assert lines[0] == "dataset,algo,min_sup,num_frequent,num_candidates,runtime_ms"
-    assert lines[1].startswith("demo8.dat,brute,4,11,63,")
+    assert lines[1].startswith("demo8.dat,brute,4,11,47,")
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -525,25 +534,68 @@ def test_missing_file_exits_two(tmp_path, capsys):
 
 
 def test_brute_refusal_exits_one(capsys):
-    code, _, err = run(capsys, "mine", "--synthetic", "10,30,0.2,3",
+    code, _, err = run(capsys, "mine", "--synthetic", "10,30,0.9,3",
                        "--algo", "brute", "--min-sup", "2")
     assert code == EXIT_MISMATCH
     assert "capped" in err
 
 
 def test_mine_brute_refuses_past_the_work_guard(capsys):
-    # 20 items are under the item guard; 2**20 subsets x 2,000 rows would run for minutes
-    code, out, err = run(capsys, "mine", "--synthetic", "2000,20,0.3,1",
+    # 2,000 rows of about 8 of 20 items hold 1,641,016 subsets
+    code, out, err = run(capsys, "mine", "--synthetic", "2000,20,0.4,1",
                          "--algo", "brute", "--min-sup", "0.2")
     assert code == EXIT_MISMATCH
     assert out == ""
-    assert "2**20 subsets x 2000 rows exceed" in err
+    assert err == ("error: the exhaustive miner is capped: its rows hold 2**20 or more subsets, "
+                   f"past the {baselines.BRUTE_FORCE_MAX_WORK}-subset work guard\n")
+
+
+def test_two_rows_of_24_items_are_refused_fast(tmp_path, capsys):
+    # 2 * (2**24 - 1) subsets: a minute of counting, were it admitted
+    path = tmp_path / "rows24.dat"
+    path.write_text((" ".join(map(str, range(24))) + "\n") * 2, encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "mine", "--input", str(path), "--algo", "brute")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_MISMATCH and out == ""
+    assert err.startswith("error: the exhaustive miner is capped: its rows hold 2**24 or more")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compare", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_MISMATCH and err == ""
+    assert [line.partition(" (")[0] for line in out.splitlines()] == [
+        "note: pcminer skipped", "note: apriori skipped", "note: brute skipped"]
 
 
 def test_bad_synthetic_spec_exits_two(capsys):
     code, _, err = run(capsys, "mine", "--synthetic", "10,5", "--min-sup", "1")
     assert code == EXIT_USAGE
     assert "N,ITEMS,DENSITY,SEED" in err
+
+
+@pytest.mark.parametrize("spec, error", [
+    # 5, 3, 1 and 1 in Arabic-Indic digits, but for DENSITY
+    ("\u0665,\u0663,1,\u0661", "cannot read --synthetic N '\u0665': not ASCII text"),
+    ("5,3,\u0661,1", "cannot read --synthetic DENSITY '\u0661': not ASCII text"),
+    ("5,3,1,\u0661", "cannot read --synthetic SEED '\u0661': not ASCII text"),
+    ("1" * 5000 + ",3,1,1",
+     "cannot read --synthetic N '11111111111111111111'... (5000 characters): "
+     "more than 4300 significant digits"),
+    ("5,3e1,1,1", "cannot read --synthetic ITEMS '3e1': not an integer"),
+    ("5,3,half,1", "cannot read --synthetic DENSITY 'half': not a decimal number"),
+], ids=["non-ascii-n", "non-ascii-density", "non-ascii-seed", "5000-digit-n", "float-items",
+        "word-density"])
+def test_a_synthetic_field_is_read_as_min_sup_is(capsys, spec, error):
+    code, out, err = run(capsys, "mine", "--synthetic", spec)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {error}\n"
+
+
+def test_synthetic_integers_follow_the_min_sup_grammar(capsys):
+    _, plain, _ = run(capsys, "mine", "--synthetic", "30,8,0.4,11", "--min-sup", "6")
+    code, padded, _ = run(capsys, "mine", "--synthetic", " 0030,+8, 0.4 ,1_1", "--min-sup", "6")
+    assert code == EXIT_OK
+    assert stable_lines(padded) == stable_lines(plain)
 
 
 def module_command(*argv):
