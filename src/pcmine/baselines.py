@@ -9,8 +9,9 @@ and reads nothing the other two miners share, so it is the independent
 check: a wrong tally makes pcminer and Apriori agree with each other and
 differ from it. Brute force checks its one guard, the number of subsets it
 would count, before it counts anything, so a refusal costs nothing. Apriori
-checks its two guards, on row tests and on candidates, before each level's
-join, so a refused level is never built.
+builds each level in one pass, joining, pruning and counting each candidate
+in turn, and checks its two guards, on row tests and on candidates, before
+the level's first candidate, so a refused level is never built.
 """
 
 from __future__ import annotations
@@ -35,13 +36,14 @@ BRUTE_FORCE_MAX_WORK = 2**20
 # before each level is joined; the heaviest input it is known to finish,
 # 20000,16,0.4,1 at 0.05, needs 3.9e7, and dense-dup needs 1.0e7.
 APRIORI_MAX_WORK = 2**27
-# Each candidate Apriori joins costs about 150 bytes (the tuple, its list
-# slots and its entry in the frequent map) and 8 us of join, prune and scan in
-# CPython, however few the distinct rows, so the row-test guard alone admits
-# 2**27 candidates from one row: 20 GB. This caps the candidates joined over
-# all levels, checked before each join, near 10 MB and 0.5 s; a 26-item row at
-# support 1 is refused at its 5-item candidates. Every input Apriori is known
-# to finish joins at most 4,083 (2000,12,0.85,5 at 0.05), dense-dup 2,497.
+# Each candidate Apriori joins costs up to about 150 bytes (a frequent one
+# keeps its tuple, a slot in the next level and its entry in the frequent map)
+# and 8 us of join, prune and scan in CPython, however few the distinct rows,
+# so the row-test guard alone admits 2**27 candidates from one row: 20 GB.
+# This caps the candidates joined over all levels, checked before each join,
+# near 10 MB and 0.5 s; a 26-item row at support 1 is refused at its 5-item
+# candidates. Every input Apriori is known to finish joins at most 4,083
+# (2000,12,0.85,5 at 0.05), dense-dup 2,497.
 APRIORI_MAX_CANDIDATES = 2**16
 
 
@@ -211,48 +213,36 @@ def _prefix(itemset: Itemset) -> Itemset:
     return itemset[:-1]
 
 
-def _join_size(level: Sequence[Itemset]) -> int:
-    """The number of candidates _join_level(level) gives, counted without building them."""
-    return sum(comb(sum(1 for _ in group), 2) for _, group in groupby(level, key=_prefix))
+def _groups(level: Sequence[Itemset]) -> list[tuple[Itemset, list[int]]]:
+    """Each (k-1)-prefix of a lexicographically sorted level with its last items.
 
-
-def _join_level(level: Sequence[Itemset]) -> list[Itemset]:
-    """Join a lexicographically sorted frequent level with itself.
-
-    Two k-itemsets sharing their first k-1 items produce one (k+1)-candidate.
-    Sorting makes equal prefixes adjacent, so itertools.groupby on the
-    (k-1)-prefix gathers them, and combinations() of each group's last items
-    visits each pair once, in the order of the level.
+    Sorting makes equal prefixes adjacent, so itertools.groupby gathers them.
+    Two k-itemsets of a group join into one (k+1)-candidate, the prefix and
+    a pair of last items, so combinations() of each group's last items gives
+    the join, each pair once and in the order of the level.
     """
-    return [prefix + pair
-            for prefix, group in groupby(level, key=_prefix)
-            for pair in combinations([itemset[-1] for itemset in group], 2)]
-
-
-def _prune_level(joined: Iterable[Itemset], prev_frequent: set[Itemset]) -> list[Itemset]:
-    """Keep candidates whose every one-smaller subset was frequent."""
-    kept = []
-    for cand in joined:
-        if all(cand[:m] + cand[m + 1:] in prev_frequent for m in range(len(cand))):
-            kept.append(cand)
-    return kept
+    return [(prefix, [itemset[-1] for itemset in group])
+            for prefix, group in groupby(level, key=_prefix)]
 
 
 def apriori_mine(db: TransactionDB, sigma: int) -> BaselineResult:
-    """Level-wise join-and-prune mining with one database scan per level.
+    """Level-wise join-and-prune mining with one pass per level.
 
-    The scans read db.tally(): each distinct row is tested once and counts
-    as many rows as it occurs. candidates_generated counts the candidates
-    that survive pruning at sizes two and up; the singleton pass is a plain
-    frequency scan and is not counted.
+    The pass joins each candidate from the level's prefix groups (_groups),
+    prunes it, and counts it over db.tally(): each distinct row is tested
+    once and counts as many rows as it occurs. candidates_generated counts
+    the candidates that survive pruning at sizes two and up; the singleton
+    pass is a plain frequency scan and is not counted.
 
-    Raises UniverseTooLargeError before joining a level when the join's
-    candidates times the distinct rows, summed over the levels so far,
-    exceed APRIORI_MAX_WORK: the pruned candidates of a level are at most
-    its joined ones, so that sum bounds the row tests of the scans. It
-    raises it too when the joined candidates alone, summed the same way,
-    exceed APRIORI_MAX_CANDIDATES, which bounds the memory and the join
-    and prune time of a database with few distinct rows.
+    Both guards are checked from the groups alone, before the level's first
+    candidate is formed: each group of n last items joins C(n, 2). Raises
+    UniverseTooLargeError when the joined candidates times the distinct
+    rows, summed over the levels so far, exceed APRIORI_MAX_WORK: the pruned
+    candidates of a level are at most its joined ones, so that sum bounds
+    the row tests of the scans. It raises it too when the joined candidates
+    alone, summed the same way, exceed APRIORI_MAX_CANDIDATES, which bounds
+    the memory and the join and prune time of a database with few distinct
+    rows.
     """
     sig = effective_sigma(sigma)
     index = {item: i for i, item in enumerate(db.universe)}
@@ -271,7 +261,8 @@ def apriori_mine(db: TransactionDB, sigma: int) -> BaselineResult:
     distinct = len(single) + len(repeated)
     candidates = joined = work = 0
     while level:
-        size = _join_size(level)
+        groups = _groups(level)
+        size = sum(comb(len(lasts), 2) for _, lasts in groups)
         joined += size
         work += size * distinct
         if work > APRIORI_MAX_WORK:
@@ -284,13 +275,17 @@ def apriori_mine(db: TransactionDB, sigma: int) -> BaselineResult:
                 f"the level-wise miner is capped: the {len(level[0]) + 1}-item candidates "
                 f"bring its joins to {joined} candidates, "
                 f"past the {APRIORI_MAX_CANDIDATES}-candidate guard")
-        pruned = _prune_level(_join_level(level), set(level))
-        candidates += len(pruned)
-        next_level = []
-        for cand in pruned:
-            sup = _count(single, repeated, _mask(cand, index))
-            if sup >= sig:
-                frequent[cand] = sup
-                next_level.append(cand)
-        level = next_level
+        known, level = set(level), []
+        for prefix, lasts in groups:
+            for pair in combinations(lasts, 2):
+                cand = prefix + pair
+                # Prune: dropping either of the last two items leaves a member
+                # of the level, so only the prefix's items are dropped in turn.
+                if not all(cand[:m] + cand[m + 1:] in known for m in range(len(prefix))):
+                    continue
+                candidates += 1
+                sup = _count(single, repeated, _mask(cand, index))
+                if sup >= sig:
+                    frequent[cand] = sup
+                    level.append(cand)
     return BaselineResult(frequent=frequent, candidates_generated=candidates)

@@ -9,7 +9,11 @@ A miner refuses exponential work by raising baselines.UniverseTooLargeError,
 brute force past its subset guard, Apriori past its row-test or candidate
 guard and pcminer past its walk guard; the CLI asks no guard itself. mine
 exits 1 on a refusal; compare prints it as a `note:` line and cross-checks
-the miners that ran, in ALGORITHMS order, against the first of them.
+the miners that ran, in ALGORITHMS order, against the first of them. Two
+miners agree when their frequent maps are equal; only when they are not
+does compare look for the smallest itemset they disagree on, and its
+`DIFFER` line names it. Neither command sorts what it does not print: mine
+sorts its listings only without --quiet.
 
 Exit codes: 0 on success (and on EQUAL for compare), 1 when compare finds a
 semantic difference or runs fewer than two miners, or a miner refuses the
@@ -208,18 +212,17 @@ def _report(name: str, db: TransactionDB, algo: str, sigma: int, run: RunOutcome
     """The lines of mine's report, each without its newline."""
     maximal = run.maximal
     if maximal is None:
-        maximal = sorted(pc_miner.maximal_frequent(run.frequent))
+        maximal = pc_miner.maximal_frequent(run.frequent)
     yield f"dataset: {name} ({len(db)} transactions, {len(db.universe)} items)"
     yield f"algorithm: {algo}"
     yield f"min_sup: {sigma}"
-    ranked = sorted(run.frequent.items())
-    yield f"frequent itemsets: {len(ranked)}"
+    yield f"frequent itemsets: {len(run.frequent)}"
     if not quiet:
-        for itemset, support in ranked:
+        for itemset, support in sorted(run.frequent.items()):
             yield f"  {_fmt(itemset)}: {support}"
     yield f"maximal: {len(maximal)}"
     if not quiet:
-        for itemset in maximal:
+        for itemset in sorted(maximal):
             yield f"  {_fmt(itemset)}"
     yield f"candidates: {run.candidates}"
     if run.build_ms is not None:
@@ -238,15 +241,6 @@ def cmd_mine(args) -> int:
     return EXIT_OK
 
 
-def _first_difference(reference: dict, other: dict):
-    for itemset in sorted(set(reference) | set(other)):
-        a = reference.get(itemset)
-        b = other.get(itemset)
-        if a != b:
-            return itemset, a, b
-    return None
-
-
 def cmd_compare(args) -> int:
     name, db = _load_db(args)
     sigma = resolve_sigma(args.min_sup, len(db))
@@ -260,11 +254,12 @@ def cmd_compare(args) -> int:
         return EXIT_MISMATCH
     (first, reference), *others = frequent.items()
     for algo, other in others:
-        diff = _first_difference(reference, other)
-        if diff is not None:
-            itemset, ours, theirs = diff
+        if other != reference:
+            itemset = min(x for x in reference.keys() | other.keys()
+                          if reference.get(x) != other.get(x))
             print(f"DIFFER on {name}: itemset {_fmt(itemset)}: "
-                  f"{first}={_fmt_support(ours)} {algo}={_fmt_support(theirs)}")
+                  f"{first}={_fmt_support(reference.get(itemset))} "
+                  f"{algo}={_fmt_support(other.get(itemset))}")
             return EXIT_MISMATCH
     print(f"EQUAL on {name}: {len(reference)} frequent itemsets at min_sup {sigma} "
           f"({', '.join(frequent)})")

@@ -88,11 +88,13 @@ def candidate_head(head: Itemset, frequencies: dict[int, int], sigma: int) -> It
 
 def maximal_frequent(frequent: Iterable[Itemset]) -> set[Itemset]:
     """Subset-maximal members of a family of itemsets."""
-    # Largest first: a set can only be absorbed by a strictly larger one. A
+    # Largest first: a set can only be absorbed by a strictly larger one, so
+    # the order among sets of one size does not matter. set() drops repeats
+    # before each costs an index query; reduced heads repeat heavily. A
     # vertical index of the kept sets names those that contain it; with none
     # kept nothing absorbs, although supersets(()) is every bit.
     index, kept = VerticalIndex(), []
-    for its in sorted(set(frequent), key=lambda t: (-len(t), t)):
+    for its in sorted(set(frequent), key=len, reverse=True):
         if not (kept and index.supersets(its)):
             index.add(its, 1)
             kept.append(its)

@@ -3,6 +3,7 @@
 import copy
 import time
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,7 @@ from pcmine.baselines import (
     BRUTE_FORCE_MAX_WORK,
     TransactionDB,
     UniverseTooLargeError,
-    _join_level,
-    _join_size,
-    _prune_level,
+    _groups,
     apriori_mine,
     brute_force_mine,
 )
@@ -178,7 +177,7 @@ def test_apriori_candidate_guard(monkeypatch):
             r"past the 3-candidate guard")):
         apriori_mine(db, 1)
     joined = []
-    monkeypatch.setattr(baselines, "_join_level", lambda level: joined.append(level) or [])
+    monkeypatch.setattr(baselines, "combinations", lambda *args: joined.append(args) or ())
     monkeypatch.setattr(baselines, "APRIORI_MAX_CANDIDATES", 2)
     with pytest.raises(UniverseTooLargeError, match="the 2-item candidates bring its joins to 3"):
         apriori_mine(db, 1)
@@ -188,17 +187,21 @@ def test_apriori_candidate_guard(monkeypatch):
 def test_apriori_work_guard_refuses_a_level_before_joining_it(monkeypatch):
     joined = []
     monkeypatch.setattr(baselines, "APRIORI_MAX_WORK", 5)
-    monkeypatch.setattr(baselines, "_join_level", lambda level: joined.append(level) or [])
+    monkeypatch.setattr(baselines, "combinations", lambda *args: joined.append(args) or ())
     with pytest.raises(UniverseTooLargeError, match="the 2-item candidates bring its scans to 6"):
         apriori_mine(TransactionDB.from_itemsets(GUARD_ROWS), 1)
     assert joined == []
 
 
+def _joined(groups):
+    return [prefix + pair for prefix, lasts in groups for pair in combinations(lasts, 2)]
+
+
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(4, 9)), max_size=40))
 @settings(max_examples=100, deadline=None)
 def test_join_size_counts_the_join(level):
-    level = sorted(set(level))
-    assert _join_size(level) == len(_join_level(level))
+    groups = _groups(sorted(set(level)))
+    assert sum(comb(len(lasts), 2) for _, lasts in groups) == len(_joined(groups))
 
 
 def test_apriori_demo_candidate_count(demo_db):
@@ -210,17 +213,23 @@ def test_apriori_demo_candidate_count(demo_db):
 
 def test_apriori_join_level():
     level = [(A, C), (A, D), (C, D), (C, F), (D, F)]
-    assert _join_level(level) == [(A, C, D), (C, D, F)]
-    assert _join_level([(A, C, D), (C, D, F)]) == []  # prefixes differ
+    assert _joined(_groups(level)) == [(A, C, D), (C, D, F)]
+    assert _joined(_groups([(A, C, D), (C, D, F)])) == []  # prefixes differ
 
 
-def test_apriori_prune_level():
-    joined = [(A, C, D), (C, D, F)]
-    kept = _prune_level(joined, {(A, C), (A, D), (C, D), (C, F), (D, F)})
-    assert kept == joined
-    # drop (D, F) from the frequent level and C-D-F must be pruned
-    kept = _prune_level(joined, {(A, C), (A, D), (C, D), (C, F)})
-    assert kept == [(A, C, D)]
+def test_apriori_prune_level(monkeypatch):
+    # At support 1 the frequent pairs are A-C, A-D, C-D and C-F, not D-F, so
+    # C-D-F is joined from C-D and C-F but pruned before any row test.
+    db = TransactionDB.from_itemsets([(A, C, D), (C, F)], universe=range(6))
+    counted = []
+    count = baselines._count
+    monkeypatch.setattr(baselines, "_count",
+                        lambda single, repeated, m: counted.append(m) or count(single, repeated, m))
+    result = apriori_mine(db, 1)
+    assert [x for x in result.frequent if len(x) == 2] == [(A, C), (A, D), (C, D), (C, F)]
+    assert result.candidates_generated == 7  # 6 pairs and A-C-D
+    assert 1 << C | 1 << D | 1 << F not in counted
+    assert 1 << A | 1 << C | 1 << D in counted
 
 
 def test_sigma_zero_warns_in_both_baselines(demo_db):

@@ -224,6 +224,16 @@ def test_mine_quiet_drops_itemset_lines(capsys):
     assert "  0 2 3: 5" not in out
 
 
+@pytest.mark.parametrize("algo", ["pcminer", "apriori", "brute"])
+def test_mine_quiet_prints_the_full_report_without_its_listing(capsys, algo):
+    argv = ("mine", "--input", DEMO, "--min-sup", "2", "--algo", algo)
+    _, full, _ = run(capsys, *argv)
+    _, quiet, _ = run(capsys, *argv, "--quiet")
+    summary = [line for line in stable_lines(full) if not line.startswith("  ")]
+    assert len(summary) < len(stable_lines(full))  # there is a listing to drop
+    assert stable_lines(quiet) == summary
+
+
 def test_mine_synthetic_source(capsys):
     code, out, _ = run(capsys, "mine", "--synthetic", "30,8,0.4,11", "--min-sup", "6")
     assert code == EXIT_OK
@@ -317,6 +327,22 @@ def test_compare_detects_a_missing_itemset(capsys, monkeypatch):
     code, out, _ = run(capsys, "compare", "--input", DEMO, "--min-sup", "4")
     assert code == EXIT_MISMATCH
     assert "absent" in out
+
+
+def test_compare_names_the_smallest_itemset_the_miners_disagree_on(capsys, monkeypatch):
+    real = cli.ALGORITHMS["apriori"]
+
+    def two_faults(db, sigma):
+        outcome = real(db, sigma)
+        broken = dict(outcome.frequent)
+        broken[(2, 3, 5)] += 1  # earlier in the map's order
+        broken[(1, 4)] = 1  # last in it, but the smaller itemset
+        return RunOutcome(broken, outcome.candidates, outcome.mine_ms)
+
+    monkeypatch.setitem(cli.ALGORITHMS, "apriori", two_faults)
+    code, out, _ = run(capsys, "compare", "--input", DEMO, "--min-sup", "4")
+    assert code == EXIT_MISMATCH
+    assert out == "DIFFER on demo8.dat: itemset 1 4: pcminer=absent apriori=1\n"
 
 
 def refusing(db, sigma):
