@@ -1,6 +1,7 @@
 """Baseline miner tests: frozen counts, guard behavior, mutual agreement."""
 
 import copy
+import hashlib
 import time
 from itertools import combinations
 from math import comb
@@ -264,6 +265,45 @@ def test_apriori_agrees_with_brute_force(spec):
     for sigma in range(1, len(db) + 1, 4):
         assert apriori_mine(db, sigma).frequent == {
             x: s for x, s in oracle.items() if s >= sigma}
+
+
+# Apriori's identity on SPECS, recorded from the horizontal-scan Apriori it
+# replaced: the spec's seed, σ, candidates_generated, the frequent count, the
+# SHA-1 of list(frequent.items()) (order included) and its first 20 itemsets,
+# each written as its items' hex digits.
+APRIORI_IDENTITY = [
+    (31, 2, 69, 65, "f5098b7ddb3a086f",
+     "0 1 2 3 4 5 6 01 02 03 04 05 06 12 13 14 15 16 23 24"),
+    (31, 5, 29, 21, "aa05d18dd09828c5",
+     "0 1 2 3 4 5 6 01 02 06 12 13 14 15 16 26 34 36 46 134"),
+    (32, 2, 147, 82, "3e770b820fa86abe",
+     "0 1 2 3 4 5 6 7 8 9 01 02 03 04 05 06 07 08 09 12"),
+    (32, 8, 45, 11, "d8fa78ac021369cf",
+     "0 1 2 3 4 5 6 7 8 9 16"),
+    (33, 2, 167, 79, "d1f199d84ca0b38f",
+     "0 1 2 3 4 5 6 7 8 9 a b 01 02 03 04 05 07 08 09"),
+    (33, 10, 66, 12, "f7df3d7f6cedff4e",
+     "0 1 2 3 4 5 6 7 8 9 a b"),
+    (34, 2, 227, 223, "70e2ef3e4cd57ec2",
+     "0 1 2 3 4 5 6 7 01 02 03 04 05 06 07 12 13 14 15 16"),
+    (34, 4, 179, 157, "2ef0cb237656949e",
+     "0 1 2 3 4 5 6 7 01 02 03 04 05 06 07 12 13 14 15 16"),
+    (35, 2, 57, 63, "b0600b87302b8542",
+     "0 1 2 3 4 5 01 02 03 04 05 12 13 14 15 23 24 25 34 35"),
+    (35, 66, 50, 41, "0b40fe1c2cf521d9",
+     "0 1 2 3 4 5 01 02 03 04 05 12 13 14 15 23 24 25 34 35"),
+]
+
+
+@pytest.mark.parametrize("seed, sigma, candidates, count, digest, head", APRIORI_IDENTITY,
+                         ids=[f"seed{seed}-sigma{sigma}" for seed, sigma, *_ in APRIORI_IDENTITY])
+def test_apriori_identity_is_pinned(seed, sigma, candidates, count, digest, head):
+    spec = next(spec for spec in SPECS if spec.seed == seed)
+    result = apriori_mine(generate_synthetic(spec), sigma)
+    assert result.candidates_generated == candidates
+    assert len(result.frequent) == count
+    assert list(result.frequent)[:20] == [tuple(int(c, 16) for c in word) for word in head.split()]
+    assert hashlib.sha1(repr(list(result.frequent.items())).encode()).hexdigest()[:16] == digest
 
 
 @st.composite
