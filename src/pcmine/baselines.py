@@ -2,16 +2,20 @@
 
 TransactionDB is the one place a row is made canonical: every miner reads
 ascending, duplicate-free rows. Apriori reads TransactionDB.tally(), the one
-place duplicate rows are collapsed, which build_tree reads too: it counts
-each distinct row once, weighted by its multiplicity. Brute force counts
+place duplicate rows are collapsed, which build_tree reads too, and counts
+over a pc_tree.VerticalIndex built from it, the index pcminer's support
+queries read: one bit per distinct row, weighted by its multiplicity. The
+cost of sharing is that a bug in the tally or in VerticalIndex.support()
+would make pcminer and Apriori agree with each other. Brute force counts
 every non-empty subset of every raw row, which is the definition of support,
-and reads nothing the other two miners share, so it is the independent
-check: a wrong tally makes pcminer and Apriori agree with each other and
-differ from it. Brute force checks its one guard, the number of subsets it
-would count, before it counts anything, so a refusal costs nothing. Apriori
-builds each level in one pass, joining, pruning and counting each candidate
-in turn, and checks its two guards, on row tests and on candidates, before
-the level's first candidate, so a refused level is never built.
+and reads nothing the other two miners share, so it stays the independent
+check that such a bug makes them differ from; support() itself is tested
+against the paper's tree walk, PCTree.walk_support(). Brute force checks its
+one guard, the number of subsets it would count, before it counts anything,
+so a refusal costs nothing. Apriori builds each level in one pass, joining,
+pruning and counting each candidate in turn, and checks its two guards, on
+row tests and on candidates, before the level's first candidate, so a
+refused level is never built.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from math import comb
 from operator import lt
 from typing import Iterable, Sequence
 
+from .pc_tree import VerticalIndex
 from .prime_codec import Itemset, as_itemset
 
 # Brute force counts each non-empty subset of each row, 2**|row| - 1 of them,
@@ -30,20 +35,26 @@ from .prime_codec import Itemset, as_itemset
 # disjoint 18-item rows at support 1 whose subsets are all distinct, takes
 # about 1.3 s and 250 MB; sparse-walk's 1,000 rows hold 199,584 subsets.
 BRUTE_FORCE_MAX_WORK = 2**20
-# Apriori tests each candidate against each distinct row, about 65 ns a test
-# in CPython, so 2**27 row tests take about 9 s. Its work is the join's
-# candidates times the distinct rows, summed over the levels and checked
-# before each level is joined; the heaviest input it is known to finish,
-# 20000,16,0.4,1 at 0.05, needs 3.9e7, and dense-dup needs 1.0e7.
-APRIORI_MAX_WORK = 2**27
+# Apriori counts a candidate over a VerticalIndex of the distinct rows: an AND
+# of its items' bit rows, one bit a row, and a popcount or a few, at about
+# 0.26-0.46 ns a row test in CPython, so 2**31 row tests take 0.6-1.0 s. Its
+# work is the join's candidates times the distinct rows, summed over the
+# levels and checked before each level is joined. The heaviest input it is
+# known to finish, 40000,16,0.5,1 at support 1 (65,519 candidates over 30,015
+# distinct rows), needs 1.97e9 and mines in about 1.0 s with a 34 MB peak;
+# dense-dup needs 1.0e7. 200000,20,0.5,1 at support 1 (182,197 distinct rows)
+# is refused at its 5-item candidates, 1.8 s in, 1.5 s of it indexing the
+# rows, where the candidate cap alone would let it count to its 7-item level
+# for 5.5 s.
+APRIORI_MAX_WORK = 2**31
 # Each candidate Apriori joins costs up to about 150 bytes (a frequent one
 # keeps its tuple, a slot in the next level and its entry in the frequent map)
-# and 8 us of join, prune and scan in CPython, however few the distinct rows,
-# so the row-test guard alone admits 2**27 candidates from one row: 20 GB.
+# and 8 us of join, prune and count in CPython, however few the distinct rows,
+# so the row-test guard alone admits 2**31 candidates from one row: 320 GB.
 # This caps the candidates joined over all levels, checked before each join,
 # near 10 MB and 0.5 s; a 26-item row at support 1 is refused at its 5-item
-# candidates. Every input Apriori is known to finish joins at most 4,083
-# (2000,12,0.85,5 at 0.05), dense-dup 2,497.
+# candidates. The heaviest input Apriori is known to finish joins 65,519
+# (40000,16,0.5,1 at support 1), dense-dup 2,497.
 APRIORI_MAX_CANDIDATES = 2**16
 
 
@@ -60,9 +71,9 @@ class UniverseTooLargeError(ValueError):
 
 
 def _item_ids(ids):
-    """ids, once each is known to be a non-negative integer."""
+    """ids, once each is known to be a non-negative plain int (a bool is not one)."""
     for item in ids:
-        if not isinstance(item, int) or item < 0:
+        if type(item) is not int or item < 0:
             raise ValueError(f"item ids must be non-negative integers, got {item!r}")
     return ids
 
@@ -72,7 +83,8 @@ class TransactionDB:
 
     rows holds each transaction's itemset in order, and a transaction's id is
     its position: transaction t is rows[t - 1]. universe is the ascending
-    tuple of item ids the rows draw from; an id is a non-negative integer,
+    tuple of item ids the rows draw from; an id is a non-negative plain int,
+    not a bool or a float equal to one, in the universe and in every row,
     checked before any two ids are compared. The constructor is the one
     place a row is made canonical: a row that is already strictly ascending
     is kept as it is, and any other becomes its as_itemset(), sorted and
@@ -91,13 +103,17 @@ class TransactionDB:
         allowed = set(universe)
         if list(universe) != sorted(allowed):
             raise ValueError("universe must be strictly ascending")
-        canonical = {}
+        canonical, plain = {}, {int}
         for items in dict.fromkeys(rows):
             if not items:
                 raise ValueError(f"transaction {rows.index(items) + 1} is empty")
             if not allowed.issuperset(items):
                 raise ValueError(
                     f"transaction {rows.index(items) + 1} uses items outside the universe")
+            if not plain.issuperset(map(type, items)):  # 1.0 and True pass the line above
+                item = next(item for item in items if type(item) is not int)
+                raise ValueError(f"transaction {rows.index(items) + 1}: "
+                                 f"item ids must be non-negative integers, got {item!r}")
             if not all(map(lt, items, items[1:])):
                 canonical[items] = as_itemset(items)
         if canonical:
@@ -169,24 +185,6 @@ def effective_sigma(sigma: int) -> int:
     return sigma
 
 
-def _mask(items: Iterable[int], index: dict[int, int]) -> int:
-    m = 0
-    for item in items:
-        m |= 1 << index[item]
-    return m
-
-
-def _count(single: Sequence[int], repeated: Sequence[tuple[int, int]], m: int) -> int:
-    """Rows whose mask holds every bit of m.
-
-    Each mask in single is one row; each (mask, k) pair in repeated is k rows.
-    Rows seen once stay plain masks, so they cost what an unweighted scan
-    costs; one pass over (mask, k) pairs would unpack a tuple for every row.
-    """
-    return (sum(1 for t in single if t & m == m)
-            + sum(k for t, k in repeated if t & m == m))
-
-
 def brute_force_mine(db: TransactionDB, sigma: int) -> BaselineResult:
     """Count every non-empty subset of every transaction: the definition of support.
 
@@ -229,36 +227,33 @@ def apriori_mine(db: TransactionDB, sigma: int) -> BaselineResult:
     """Level-wise join-and-prune mining with one pass per level.
 
     The pass joins each candidate from the level's prefix groups (_groups),
-    prunes it, and counts it over db.tally(): each distinct row is tested
-    once and counts as many rows as it occurs. candidates_generated counts
-    the candidates that survive pruning at sizes two and up; the singleton
-    pass is a plain frequency scan and is not counted.
+    prunes it, and counts it with VerticalIndex.support() over an index of
+    db.tally(), built once in first-occurrence order: one AND of its items'
+    bit rows tests every distinct row, and each counts as many rows as it
+    occurs. candidates_generated counts the candidates that survive pruning
+    at sizes two and up; the singletons, each universe item counted the same
+    way, are not counted.
 
     Both guards are checked from the groups alone, before the level's first
     candidate is formed: each group of n last items joins C(n, 2). Raises
     UniverseTooLargeError when the joined candidates times the distinct
     rows, summed over the levels so far, exceed APRIORI_MAX_WORK: the pruned
     candidates of a level are at most its joined ones, so that sum bounds
-    the row tests of the scans. It raises it too when the joined candidates
+    the row tests of the counts. It raises it too when the joined candidates
     alone, summed the same way, exceed APRIORI_MAX_CANDIDATES, which bounds
     the memory and the join and prune time of a database with few distinct
     rows.
     """
     sig = effective_sigma(sigma)
-    index = {item: i for i, item in enumerate(db.universe)}
-    tally = db.tally()
-    single = [_mask(items, index) for items, k in tally.items() if k == 1]
-    repeated = [(_mask(items, index), k) for items, k in tally.items() if k > 1]
-
-    counts = dict.fromkeys(db.universe, 0)
-    for items, k in tally.items():
-        for item in items:
-            counts[item] += k
-    del tally  # the level scans read only the masks; this lowers their peak
-    frequent: dict[Itemset, int] = {(i,): c for i, c in counts.items() if c >= sig}
+    index = VerticalIndex()
+    for items, k in db.tally().items():
+        index.add(items, k)
+    support = index.support
+    frequent: dict[Itemset, int] = {
+        (item,): sup for item in db.universe if (sup := support((item,))) >= sig}
     level: list[Itemset] = sorted(frequent)
 
-    distinct = len(single) + len(repeated)
+    distinct = len(index.counts)
     candidates = joined = work = 0
     while level:
         groups = _groups(level)
@@ -284,8 +279,7 @@ def apriori_mine(db: TransactionDB, sigma: int) -> BaselineResult:
                 if not all(cand[:m] + cand[m + 1:] in known for m in range(len(prefix))):
                     continue
                 candidates += 1
-                sup = _count(single, repeated, _mask(cand, index))
-                if sup >= sig:
+                if (sup := support(cand)) >= sig:
                     frequent[cand] = sup
                     level.append(cand)
     return BaselineResult(frequent=frequent, candidates_generated=candidates)

@@ -70,10 +70,12 @@ from bisect import bisect_left
 from collections import Counter
 from functools import reduce
 from operator import attrgetter, or_
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .baselines import TransactionDB
 from .prime_codec import Itemset, PrimeTable, as_itemset, build_prime_table, encode
+
+if TYPE_CHECKING:  # baselines imports this module for Apriori's VerticalIndex
+    from .baselines import TransactionDB
 
 
 class PCNode:

@@ -2,9 +2,13 @@
 
 import copy
 import hashlib
+import re
+import subprocess
+import sys
 import time
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +25,7 @@ from pcmine.baselines import (
 )
 from pcmine.dataset_io import SyntheticSpec, generate_synthetic
 from pcmine.pc_miner import mine
-from pcmine.pc_tree import build_tree
+from pcmine.pc_tree import VerticalIndex, build_tree
 
 A, B, C, D, E, F = range(6)
 
@@ -83,6 +87,19 @@ def test_item_ids_that_are_not_non_negative_integers_are_refused(rows, universe)
         TransactionDB(rows=rows, universe=universe)
 
 
+@pytest.mark.parametrize("rows, universe, message", [
+    # 1.0 and True equal universe ids, so the check on the universe passes them
+    ([(1.0, 2), (1,)], (1, 2), "transaction 1: item ids must be non-negative integers, got 1.0"),
+    ([(2,), (2,), (True, 2)], (1, 2),
+     "transaction 3: item ids must be non-negative integers, got True"),
+    ([(2,), (1, 2.0)], (1, 2), "transaction 2: item ids must be non-negative integers, got 2.0"),
+    ([(1,)], (True, 2), "item ids must be non-negative integers, got True"),
+], ids=["float", "bool", "float-later", "bool-universe"])
+def test_items_that_are_not_plain_ints_are_refused(rows, universe, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TransactionDB(rows=rows, universe=universe)
+
+
 @pytest.mark.parametrize("itemsets", [[(-3, 1)], [(1,), ("a",)], [(2, 0.5)]],
                          ids=["negative", "mixed", "fraction"])
 def test_from_itemsets_refuses_bad_ids_before_sorting_them(itemsets):
@@ -105,6 +122,17 @@ def test_from_itemsets_assigns_tids_and_universe():
     # The views bench/run.py and bench/spans.py read: a tid is a 1-based position.
     assert db.transactions == tuple(enumerate(db.rows, start=1)) == ((1, (0, 2)), (2, (1,)))
     assert db.itemsets() == list(db.rows)
+
+
+@pytest.mark.parametrize("module", ["pcmine.baselines", "pcmine.pc_tree"])
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    # Apriori counts over pc_tree's VerticalIndex, so baselines imports pc_tree;
+    # pc_tree must not import baselines back at run time.
+    src = str(Path(baselines.__file__).resolve().parent.parent)
+    probe = f"import sys; sys.path.insert(0, sys.argv[1]); import {module}"
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", probe, src],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_brute_force_single_transaction():
@@ -220,17 +248,17 @@ def test_apriori_join_level():
 
 def test_apriori_prune_level(monkeypatch):
     # At support 1 the frequent pairs are A-C, A-D, C-D and C-F, not D-F, so
-    # C-D-F is joined from C-D and C-F but pruned before any row test.
+    # C-D-F is joined from C-D and C-F but pruned before any support query.
     db = TransactionDB.from_itemsets([(A, C, D), (C, F)], universe=range(6))
     counted = []
-    count = baselines._count
-    monkeypatch.setattr(baselines, "_count",
-                        lambda single, repeated, m: counted.append(m) or count(single, repeated, m))
+    support = VerticalIndex.support
+    monkeypatch.setattr(VerticalIndex, "support",
+                        lambda index, items: counted.append(items) or support(index, items))
     result = apriori_mine(db, 1)
     assert [x for x in result.frequent if len(x) == 2] == [(A, C), (A, D), (C, D), (C, F)]
     assert result.candidates_generated == 7  # 6 pairs and A-C-D
-    assert 1 << C | 1 << D | 1 << F not in counted
-    assert 1 << A | 1 << C | 1 << D in counted
+    assert (C, D, F) not in counted
+    assert (A, C, D) in counted
 
 
 def test_sigma_zero_warns_in_both_baselines(demo_db):
