@@ -24,7 +24,6 @@ import warnings
 from collections import Counter, namedtuple
 from itertools import chain, combinations, groupby
 from math import comb
-from operator import lt
 from typing import Iterable, Sequence
 
 from .pc_tree import VerticalIndex
@@ -86,9 +85,9 @@ class TransactionDB:
     tuple of item ids the rows draw from; an id is a non-negative plain int,
     not a bool or a float equal to one, in the universe and in every row,
     checked before any two ids are compared. The constructor is the one
-    place a row is made canonical: a row that is already strictly ascending
-    is kept as it is, and any other becomes its as_itemset(), sorted and
-    without repeated items. It keeps tuples of what it is given, so a list
+    place a row is made canonical, by as_itemset(): a row that is already
+    strictly ascending is kept as it is, and any other is sorted, without
+    repeated items. It keeps tuples of what it is given, so a list
     passed in cannot change the database later and a generator is read
     once; a tuple of canonical rows is kept as it is. It checks each
     distinct row once, in order of first occurrence, so a refusal names the
@@ -114,8 +113,8 @@ class TransactionDB:
                 item = next(item for item in items if type(item) is not int)
                 raise ValueError(f"transaction {rows.index(items) + 1}: "
                                  f"item ids must be non-negative integers, got {item!r}")
-            if not all(map(lt, items, items[1:])):
-                canonical[items] = as_itemset(items)
+            if (fixed := as_itemset(items)) is not items:
+                canonical[items] = fixed
         if canonical:
             rows = tuple(canonical.get(items, items) for items in rows)
         object.__setattr__(self, "rows", rows)

@@ -52,16 +52,17 @@ so the same index can be built from the tally alone, with no placement.
 support() takes an itemset and answers from the index, with no prime
 arithmetic: an AND of its items' rows selects the nodes that hold them
 all, and one popcount counts them. Their counts' excess over 1, split into
-binary weight planes, adds one popcount per plane, but only when the
-selection meets the union of the planes, the nodes that count more than 1.
-Most nodes of a sparse database count 1, so its trees have few planes or
-none, and most of its queries select no repeated node and cost one
-popcount. The paper's own query, walk_support(), takes a prime-coded value
-and stays as the reference oracle: it sums the counts of the nodes the
-query value divides, skipping a whole subtree as soon as its top value
-fails the test, since descendant values divide their ancestors'. The
-paper's per-node global count (the counts summed along the root path) is
-not stored; neither query reads it.
+binary weight planes that every insert keeps current, adds one popcount
+per plane, but only when the selection meets the union of the planes, the
+nodes that count more than 1. A query writes nothing. Most nodes of a
+sparse database count 1, so its trees have few planes or none, and most
+of its queries select no repeated node and cost one popcount. The paper's
+own query, walk_support(), takes a prime-coded value and stays as the
+reference oracle: it sums the counts of the nodes the query value
+divides, skipping a whole subtree as soon as its top value fails the
+test, since descendant values divide their ancestors'. The paper's
+per-node global count (the counts summed along the root path) is not
+stored; neither query reads it.
 """
 
 from __future__ import annotations
@@ -119,19 +120,17 @@ class VerticalIndex:
 
     rows[item] has bit b set when the b-th itemset added holds item, and
     counts[b] is the number of transactions that itemset stands for. add()
-    and bump() enforce that a count is at least 1, except an empty
-    itemset's (a tree's root counts 0), and reject a bad count before they
-    change anything. supersets() and subsets() answer the containment
-    queries from the rows alone, and covered() walks the same rows depth
-    first to list every itemset that some stored itemset holds, each once.
-    support() ANDs its items' rows itself and counts the hit with one
-    popcount. The first support() after a change builds the count weight
-    planes (bit b of plane j is bit j of counts[b] - 1), all of them in one
-    pass over the counts, together with their union, the bits of the
-    itemsets that count more than 1, and a query reads the planes only
-    when its hit meets that union. The planes are stored before the union
-    and a query reads the union first, so a query that finds the union
-    finds its planes, and racing queries at worst build twice.
+    and bump() take a count that is a plain int (not a bool) of at least 1,
+    except an empty itemset's (a tree's root counts 0), and bump() a bit
+    that some itemset holds; they refuse anything else before they change
+    anything. supersets() and subsets() answer the containment queries from
+    the rows alone, and covered() walks the same rows depth first to list
+    every itemset that some stored itemset holds, each once. support() ANDs
+    its items' rows itself and counts the hit with one popcount. The count
+    weight planes (bit b of plane j is bit j of counts[b] - 1) and their
+    union, the bits of the itemsets that count more than 1, are kept
+    current by add() and bump(), and a query reads the planes only when its
+    hit meets that union. Every query is a plain read.
     """
 
     __slots__ = ("rows", "counts", "_planes", "_repeated")
@@ -139,28 +138,44 @@ class VerticalIndex:
     def __init__(self):
         self.rows: dict[int, int] = {}
         self.counts: list[int] = []
-        self._planes: tuple[int, ...] | None = None
-        self._repeated: int | None = None  # the union of the planes, stored after them
+        self._planes: list[int] = []
+        self._repeated = 0  # the union of the planes
 
     def add(self, items: Iterable[int], count: int) -> int:
         """Give itemset items, standing for count transactions, the next bit; return it."""
         items = tuple(items)
-        if count < 1 and items:
-            raise ValueError(f"an itemset stands for at least one transaction, got count {count}")
+        if type(count) is not int or count < 1 and items:
+            raise ValueError(f"a count is an int of at least 1 (0 for no items), got {count!r}")
         bit = len(self.counts)
         self.counts.append(count)
-        self._repeated = self._planes = None
         mask, rows = 1 << bit, self.rows
         for item in items:
             rows[item] = rows.get(item, 0) | mask
+        if count > 1:
+            self._reweigh(mask, 0, count - 1)
         return bit
 
     def bump(self, bit: int, count: int) -> None:
         """Count count more transactions for the itemset at bit."""
-        if count < 1:
-            raise ValueError(f"a bump counts at least one transaction, got count {count}")
-        self.counts[bit] += count
-        self._repeated = self._planes = None
+        if type(count) is not int or count < 1:
+            raise ValueError(f"a bump counts an int of at least 1, got {count!r}")
+        if type(bit) is not int or bit not in range(len(self.counts)):
+            raise ValueError(f"no itemset was added at bit {bit!r}")
+        before = self.counts[bit]
+        self.counts[bit] = after = before + count
+        self._reweigh(1 << bit, max(before - 1, 0), after - 1)
+
+    def _reweigh(self, mask: int, old: int, new: int) -> None:
+        """Move mask's bit from the planes of excess old over 1 to those of excess new."""
+        planes = self._planes
+        while len(planes) < new.bit_length():
+            planes.append(0)
+        flips = old ^ new
+        for j in range(flips.bit_length()):
+            if flips >> j & 1:
+                planes[j] ^= mask
+        if new and not old:  # counts only grow
+            self._repeated |= mask
 
     def supersets(self, items: Iterable[int]) -> int:
         """Bits of the itemsets that hold every one of items; -1 (every bit) for none."""
@@ -215,9 +230,6 @@ class VerticalIndex:
 
         An item that no row holds gives 0, and a repeated item counts once.
         """
-        repeated = self._repeated
-        if repeated is None:
-            repeated = self._weigh()
         rows = self.rows
         hit = -1  # an item no row holds clears every bit
         for item in items:
@@ -225,35 +237,10 @@ class VerticalIndex:
         if hit < 0:  # no items
             return sum(self.counts)
         total = hit.bit_count()
-        if hit & repeated:  # otherwise every selected itemset counts 1
+        if hit & self._repeated:  # otherwise every selected itemset counts 1
             for j, plane in enumerate(self._planes):
                 total += (hit & plane).bit_count() << j
         return total
-
-    def _weigh(self) -> int:
-        """Build the count weight planes and their union; store the planes first.
-
-        One pass over the counts fills a byte buffer per plane: a count
-        above 1 sets its bit in the buffers of its excess's set bits, which
-        are looked up once per distinct count. An empty itemset may count 0.
-        """
-        counts = self.counts
-        size = (len(counts) + 7) >> 3
-        buffers = [bytearray(size) for _ in range(max(max(counts, default=0) - 1, 0).bit_length())]
-        into: dict[int, list[bytearray]] = {}  # count -> the buffers its excess sets
-        for b, count in enumerate(counts):
-            if count > 1:
-                sets = into.get(count)
-                if sets is None:
-                    sets = into[count] = [buf for j, buf in enumerate(buffers)
-                                          if (count - 1) >> j & 1]
-                byte, bit = b >> 3, 1 << (b & 7)
-                for buf in sets:
-                    buf[byte] |= bit
-        planes = tuple(int.from_bytes(buf, "little") for buf in buffers)
-        self._planes = planes
-        self._repeated = repeated = reduce(or_, planes, 0)
-        return repeated
 
 
 class PCTree:
@@ -263,8 +250,7 @@ class PCTree:
     not run alongside anything else. _levels[d] has bit b set when the node
     born b is d edges below the root (_levels[1] is the heads), and
     _heads[b] is the birth of the head above or at the node born b (0 for
-    the root). Once the index's planes are built, every query is a plain
-    read, so concurrent queries are safe.
+    the root). Every query is a plain read, so concurrent queries are safe.
     """
 
     def __init__(self, prime_table: PrimeTable):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from itertools import compress
 from math import isqrt, log, prod
+from operator import lt
 from typing import Iterable
 
 Itemset = tuple[int, ...]
@@ -27,7 +28,14 @@ class ForeignPrimeError(ValueError):
 
 
 def as_itemset(items: Iterable[int]) -> Itemset:
-    """Canonicalize arbitrary item ids: sorted tuple, duplicates dropped."""
+    """Canonicalize arbitrary item ids: sorted tuple, duplicates dropped.
+
+    A tuple that is already strictly ascending is returned as it is, so a
+    canonical row costs one pass of comparisons and no copy.
+    """
+    items = tuple(items)
+    if all(map(lt, items, items[1:])):
+        return items
     return tuple(sorted(set(items)))
 
 

@@ -5,6 +5,7 @@ walk_support(), the paper's pruned tree walk over prime-coded values, and a
 scan of the raw transactions are its oracles.
 """
 
+import copy
 import random
 from functools import reduce
 from itertools import combinations, islice
@@ -244,41 +245,50 @@ def test_count_excess_planes_answer_every_subset(copies):
     assert len(tree.index._planes) == (copies - 1).bit_length()
 
 
-@given(st.lists(st.one_of(st.integers(1, 40), st.integers(2**10, 2**20)), max_size=300))
+@given(st.lists(st.tuples(st.booleans(), st.one_of(st.integers(1, 40), st.integers(2**10, 2**20)),
+                          st.integers(min_value=0)), max_size=300))
 @settings(max_examples=100, deadline=None)
-def test_weigh_matches_a_plane_by_plane_reference(counts):
+def test_planes_match_a_plane_by_plane_reference(steps):
+    """Any interleaving of adds and bumps, the root's among them, keeps the planes current."""
     index = VerticalIndex()
     index.add((), 0)  # a root, counting 0
-    for b, count in enumerate(counts):
-        index.add((b,), count)
-    repeated = index._weigh()
+    for add, count, pick in steps:
+        if add:
+            index.add((len(index.counts),), count)
+        else:
+            index.bump(pick % len(index.counts), count)
     # one _mask pass over the excesses per plane
     excess = [max(count - 1, 0) for count in index.counts]
-    reference = tuple(_mask(b for b, e in enumerate(excess) if e >> j & 1)
-                      for j in range(max(excess).bit_length()))
+    reference = [_mask(b for b, e in enumerate(excess) if e >> j & 1)
+                 for j in range(max(excess).bit_length())]
     assert index._planes == reference
-    assert repeated == index._repeated == reduce(or_, reference, 0)
+    assert index._repeated == reduce(or_, reference, 0)
 
 
 def test_count_excess_planes_edge_cases():
     tree = build_tree(TransactionDB.from_itemsets(SINGLE_ROWS, universe=range(6)))
     assert tree.support((99,)) == tree.support((A, 99)) == 0
-    assert tree.index._planes == ()  # no repeated row: every query is one popcount
+    assert tree.index._planes == []  # no repeated row: every query is one popcount
     assert tree.support(()) == tree.transaction_count == len(SINGLE_ROWS)
     assert tree.support((A,)) == 3
-    # a count below 1 is refused before the index changes, except the empty itemset's
+    # a count below 1, except the empty itemset's, a count that is not a plain int and
+    # a bit no itemset holds are refused before the index changes
     index, b = tree.index, tree._node_by_value[encode((A,), tree.prime_table)].birth
-    before = (dict(index.rows), list(index.counts))
+    before = (dict(index.rows), list(index.counts), list(index._planes), index._repeated)
     for bad in (lambda: index.add((1, 2), 0), lambda: index.add((1,), -1),
-                lambda: index.bump(b, 0)):
+                lambda: index.bump(b, 0), lambda: index.add((1,), 2.0),
+                lambda: index.add((1,), True), lambda: index.bump(b, 1.5),
+                lambda: index.bump(b, True), lambda: index.bump(-1, 4),
+                lambda: index.bump(len(index.counts), 1), lambda: index.bump(1.0, 1),
+                lambda: tree.insert((A, B), count=2.0), lambda: tree.insert((A,), count=2.0)):
         with pytest.raises(ValueError):
             bad()
-        assert (index.rows, index.counts) == before
+        assert (index.rows, index.counts, index._planes, index._repeated) == before
         assert tree.support((A,)) == 3 and tree.support((1,)) == 2
         assert tree.support(()) == len(SINGLE_ROWS)
-    # A query that selects no repeated node skips the planes, so an insert after
-    # a query must drop the planes' union with them: a repeat bumps a node to 2,
-    # and a new node counting 3 sits in plane 1 alone.
+    # A query that selects no repeated node skips the planes, so an insert must
+    # keep the planes' union current with them: a repeat bumps a node to 2, and a
+    # new node counting 3 sits in plane 1 alone.
     tree.insert((A, C, E))
     assert tree.support((A, C, E)) == 3  # and (A, B, C, D, E, F) once
     assert tree.support((A,)) == 4  # (A, C, E) twice among nodes counting 1
@@ -290,8 +300,27 @@ def test_count_excess_planes_edge_cases():
             assert tree.support(items) == count_oracle(rows, items)
 
 
+def test_queries_write_nothing():
+    """Every query is a plain read: the index's state is the same objects, unchanged."""
+    db = generate_synthetic(SyntheticSpec(400, 8, 0.6, seed=3))
+    assert len(db.tally()) < len(db) / 2  # duplicate-heavy: most nodes count more than 1
+    tree = build_tree(db)
+    index = tree.index
+    state = {name: getattr(index, name) for name in VerticalIndex.__slots__}
+    copies = {name: copy.copy(value) for name, value in state.items()}
+    assert index._planes and index._repeated
+    for size in range(len(db.universe) + 1):
+        for items in combinations(db.universe, size):
+            index.support(items)
+            index.supersets(items)
+            index.subsets(items)
+            for _ in index.covered(items):
+                pass
+    assert all(getattr(index, name) is value for name, value in state.items())
+    assert state == copies
+
+
 def test_validate_catches_a_flipped_plane_bit(demo_tree):
-    demo_tree.support(())  # builds the planes
     node = demo_tree._node_by_value[455]  # C, D and F, counted twice
     first, *rest = demo_tree.index._planes
     demo_tree.index._planes = (first ^ 1 << node.birth, *rest)
@@ -465,7 +494,8 @@ def test_support_index_matches_walk_and_raw_count(db, data):
     index.add((), 0)
     for items, count in db.tally().items():
         index.add(items, count)
-    assert (index.rows, index.counts) == (tree.index.rows, tree.index.counts)
+    assert (index.rows, index.counts, index._planes, index._repeated) == (
+        tree.index.rows, tree.index.counts, tree.index._planes, tree.index._repeated)
     for items in queries:
         assert index.support(items) == tree.support(items) == tree.walk_support(
             encode(items, table)) == count_oracle(db.rows, items)
@@ -702,11 +732,12 @@ def test_one_value_adopts_several_non_adjacent_heads():
 
 
 def full_shape(tree):
-    """Everything insertion order can change: node placement, counts, births, tables."""
+    """Everything insertion order can change: node placement, counts, births, tables, planes."""
     parent, counts = parents(tree), tree.index.counts
     nodes = {v: (parent[n].value, [c.value for c in n.children], counts[n.birth], n.birth)
              for v, n in tree._node_by_value.items()}
-    return tree.heads(), nodes, dict(tree.frequency_table), tree.transaction_count
+    planes = list(tree.index._planes), tree.index._repeated
+    return tree.heads(), nodes, dict(tree.frequency_table), tree.transaction_count, planes
 
 
 def row_by_row(db):

@@ -140,6 +140,15 @@ def test_as_itemset_canonicalizes():
     assert as_itemset(()) == ()
 
 
+@given(st.lists(st.integers(min_value=0, max_value=20)),
+       st.sampled_from([list, tuple, lambda items: (item for item in items)]))
+def test_as_itemset_is_the_sorted_distinct_items(items, kind):
+    """Lists, generators and tuples, with repeats and in any order."""
+    got = as_itemset(kind(items))
+    assert type(got) is tuple and got == tuple(sorted(set(items)))
+    assert as_itemset(got) is got  # a canonical tuple is kept as it is
+
+
 def test_subset_divisibility_exhaustive_small(six_table):
     """divides(encode(x), encode(y)) iff x is a subset of y, all 6-item pairs."""
     universe = list(range(6))
