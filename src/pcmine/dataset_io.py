@@ -3,7 +3,9 @@
 The on-disk transaction format is one transaction per line: whitespace
 separated non-negative integer item ids. The synthetic generator runs on
 SplitMix64 so a spec reproduces the same database on any platform; the README
-documents the exact algorithm.
+documents the exact algorithm. Draw n of that stream depends on n alone, so
+the generator computes up to LANES consecutive draws at once, each in its own
+128-bit lane of one Python int.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import warnings
 from collections import namedtuple
+from itertools import compress
 from typing import Iterable, Iterator
 
 from .baselines import TransactionDB
@@ -18,6 +21,8 @@ from .baselines import TransactionDB
 STATS_HEADER = ("dataset", "algo", "min_sup", "num_frequent", "num_candidates", "runtime_ms")
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state step
+LANES = 4096  # most draws computed in one batch; a batch's int is 16 * LANES bytes
 
 
 class TransactionParseError(ValueError):
@@ -79,14 +84,22 @@ def load_transactions(path) -> TransactionDB:
 class SyntheticSpec(namedtuple("SyntheticSpec", "num_transactions num_items density seed")):
     """Parameters of one reproducible random database.
 
-    density is the independent per-item inclusion probability, so
-    density * num_items is the expected transaction length and must be at
-    least 1 to keep the empty-transaction redraw loop sane.
+    num_transactions, num_items and seed are plain ints (a bool is not one),
+    and density is an int or a float, not a bool. density is the
+    independent per-item inclusion probability, so density * num_items is
+    the expected transaction length and must be at least 1 to keep the
+    empty-transaction redraw loop sane.
     """
 
     __slots__ = ()
 
     def __new__(cls, num_transactions: int, num_items: int, density: float, seed: int):
+        for field, value in (("num_transactions", num_transactions),
+                             ("num_items", num_items), ("seed", seed)):
+            if type(value) is not int:
+                raise ValueError(f"{field} must be an int, got {value!r}")
+        if isinstance(density, bool) or not isinstance(density, (int, float)):
+            raise ValueError(f"density must be an int or a float, got {density!r}")
         if num_transactions < 1:
             raise ValueError("need at least one transaction")
         if num_items < 1:
@@ -102,14 +115,33 @@ class SyntheticSpec(namedtuple("SyntheticSpec", "num_transactions num_items dens
         return f"synthetic-{self.num_transactions}x{self.num_items}-d{self.density}-s{self.seed}"
 
 
-def _splitmix64(seed: int) -> Iterator[int]:
-    """Tiny portable PRNG stream; the exact stream is part of the generator contract."""
-    state = seed & _MASK64
+def _lanes(value: int, lanes: int) -> int:
+    """value, below 2**128, in each of lanes 128-bit lanes of one int."""
+    return int.from_bytes(value.to_bytes(16, "little") * lanes, "little")
+
+
+def _inclusion_flags(seed: int, threshold: int, lanes: int) -> Iterator[bytes]:
+    """The SplitMix64 stream of seed as flags, lanes draws a batch, one byte per draw.
+
+    A byte is 1 when its draw is below threshold and 0 otherwise. Lane j of
+    a batch holds the state of the batch's draw j, and every step below
+    serves all lanes at once. The xor-shifts pull bits of the next lane only
+    into bits 97 and up of a lane, which the 64-bit lane mask clears, and a
+    64-bit by 64-bit product fits in its 128-bit lane. The last step adds
+    threshold to 2**64 - 1 - draw, so bit 64 of a lane, the low bit of its
+    byte 8, is set exactly when the draw is below threshold.
+    """
+    mask = _lanes(_MASK64, lanes)
+    step = _lanes((lanes * _GAMMA) & _MASK64, lanes)
+    below = _lanes(threshold, lanes)
+    state = int.from_bytes(b"".join(((seed + j * _GAMMA) & _MASK64).to_bytes(16, "little")
+                                    for j in range(1, lanes + 1)), "little")
     while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        yield z ^ (z >> 31)
+        z = ((state ^ (state >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+        z = (z ^ (z >> 31) ^ mask) & mask
+        yield (z + below).to_bytes(16 * lanes, "little")[8::16]
+        state = (state + step) & mask
 
 
 def generate_synthetic(spec: SyntheticSpec) -> TransactionDB:
@@ -119,15 +151,36 @@ def generate_synthetic(spec: SyntheticSpec) -> TransactionDB:
     density * 2**64 includes the item. An empty result is discarded and drawn
     again, so every transaction is non-empty and the output is still a pure
     function of the spec.
+
+    The draws come in batches of at most LANES from _inclusion_flags, so the
+    ints stay 16 * LANES bytes wide however many items a row has. A row is
+    compressed from its slice of a batch's flags; one that a batch boundary
+    cuts is carried over as the items drawn so far and the id of its next
+    item. The last batch may hold rows past num_transactions; they are
+    dropped.
     """
-    draws = _splitmix64(spec.seed)
-    threshold = int(spec.density * 2.0**64)
+    count, width = spec.num_transactions, spec.num_items
+    ids = range(width)
+    batches = _inclusion_flags(spec.seed, int(spec.density * 2.0**64), min(LANES, count * width))
     rows = []
-    while len(rows) < spec.num_transactions:
-        items = tuple(i for i in range(spec.num_items) if next(draws) < threshold)
-        if items:
-            rows.append(items)
-    return TransactionDB(rows, range(spec.num_items))
+    row, item = [], 0  # the items so far of a row begun in an earlier batch, and its next id
+    while len(rows) < count:
+        flags = next(batches)
+        at = 0
+        if item:
+            at = min(width - item, len(flags))
+            row += compress(range(item, item + at), flags[:at])
+            item += at
+            if item < width:
+                continue
+            if row:
+                rows.append(tuple(row))
+        stop = at + (len(flags) - at) // width * width
+        rows += filter(None, [tuple(compress(ids, flags[start:start + width]))
+                              for start in range(at, stop, width)])
+        row, item = list(compress(ids, flags[stop:])), len(flags) - stop
+    del rows[count:]
+    return TransactionDB(rows, ids)
 
 
 # One mining run, as a row of the stats CSV: its fields are the columns of STATS_HEADER.

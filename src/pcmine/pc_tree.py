@@ -401,13 +401,14 @@ class PCTree:
     def validate(self, deep: bool = True) -> list[str]:
         """Check tree invariants; returns one message per violation, empty when sound.
 
-        The structural checks (counts of at least 1, divisibility chains,
-        children in ascending birth order, tree-wide value uniqueness, the
-        birth lookup, the level masks and the head list) are linear in the
-        tree. deep=True also checks every node's cached factor set, the item
-        rows rebuilt from them, and each item's support() against a tally of
-        the counts of the nodes holding it, which is what walk_support() of
-        the item's prime sums once the factor sets match the values.
+        The structural checks (a root count of 0 and node counts of at least
+        1, divisibility chains, children in ascending birth order, tree-wide
+        value uniqueness, the birth lookup, the level masks and the head
+        list) are linear in the tree. deep=True also checks every node's
+        cached factor set, the item rows rebuilt from them, and each item's
+        support() against a tally of the counts of the nodes holding it,
+        which is what walk_support() of the item's prime sums once the
+        factor sets match the values.
         """
         problems = []
         counts = self.index.counts
@@ -428,6 +429,8 @@ class PCTree:
                 last_birth = child.birth
                 stack.append((child, depth + 1, head or child.birth, node.value))
             if node is self.root:
+                if counts[node.birth]:  # the root stands for no transaction
+                    problems.append(f"root: count {counts[node.birth]}, not 0")
                 continue
             if above is not None:
                 if above % node.value != 0:

@@ -2,12 +2,21 @@
 
 import csv
 import io
+import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
+from itertools import islice
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from pcmine import dataset_io
 from pcmine.baselines import TransactionDB
 from pcmine.dataset_io import (
+    LANES,
     STATS_HEADER,
     StatsRow,
     SyntheticSpec,
@@ -132,6 +141,88 @@ def test_demo_file_reproduces_golden_values(demo_db):
 
 # ----------------------------------------------------------------- synthetic
 
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(seed):
+    """The README's SplitMix64 stream, one draw at a time: the generator's reference."""
+    state = seed & _MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield z ^ (z >> 31)
+
+
+def reference_rows(spec):
+    """The README's generator algorithm, one draw per item, as a scalar loop."""
+    draws = splitmix64(spec.seed)
+    threshold = int(spec.density * 2.0**64)
+    rows = []
+    while len(rows) < spec.num_transactions:
+        items = tuple(i for i in range(spec.num_items) if next(draws) < threshold)
+        if items:
+            rows.append(items)
+    return tuple(rows)
+
+
+def test_reference_stream_is_splitmix64():
+    # the first outputs of SplitMix64 from state 0, as its published reference gives them
+    assert list(islice(splitmix64(0), 3)) == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert list(islice(splitmix64(-1), 5)) == list(islice(splitmix64(_MASK64), 5))
+
+
+@st.composite
+def synthetic_specs(draw):
+    """A spec and a lane cap small enough that rows and databases span batches."""
+    num_items = draw(st.one_of(st.integers(1, 24), st.sampled_from([60, 129, 300])))
+    density = draw(st.one_of(
+        st.just(1.0),
+        st.just(1 / num_items),  # about one item a row, so many rows are redrawn
+        st.floats(1 / num_items, 1.0),
+    ))
+    if density * num_items < 1:  # 1 / n * n can round below 1
+        density = math.nextafter(density, 1.0)
+    seed = draw(st.one_of(st.integers(-(2**70), -1), st.integers(0, _MASK64),
+                          st.integers(2**64, 2**80)))
+    spec = SyntheticSpec(draw(st.integers(1, 80)), num_items, density, seed)
+    return spec, draw(st.sampled_from([1, 2, 3, 7, 64, 300, LANES]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(synthetic_specs())
+@example((SyntheticSpec(5, 9, 1.0, 3), LANES))  # density 1.0
+@example((SyntheticSpec(40, 7, 1 / 7, 11), 7))  # one item a row on average: redraws
+@example((SyntheticSpec(30, 1, 1.0, 2), 3))  # one item
+@example((SyntheticSpec(4, 129, 0.05, 5), 64))  # a row spans three batches
+@example((SyntheticSpec(2, 24, 0.5, 8), 64))  # the whole database within one batch
+@example((SyntheticSpec(80, 24, 0.5, 8), 64))  # many batches
+@example((SyntheticSpec(20, 12, 0.3, -5), LANES))  # a negative seed
+@example((SyntheticSpec(20, 12, 0.3, 2**64 + 7), LANES))  # a seed past 64 bits
+def test_synthetic_equals_the_scalar_reference(case):
+    spec, lanes = case
+    with mock.patch.object(dataset_io, "LANES", lanes):
+        db = generate_synthetic(spec)
+    assert db.rows == reference_rows(spec)
+    assert db.universe == tuple(range(spec.num_items))
+
+
+def test_synthetic_rows_wider_than_the_lane_cap(monkeypatch):
+    """Every batch holds LANES flags, so each int the generator builds is 16 * LANES bytes."""
+    sizes = []
+    batches = dataset_io._inclusion_flags
+
+    def recorded(*args):
+        for flags in batches(*args):
+            sizes.append(len(flags))
+            yield flags
+
+    monkeypatch.setattr(dataset_io, "_inclusion_flags", recorded)
+    spec = SyntheticSpec(3, 2 * LANES + 5, 2 / LANES, seed=11)  # a row spans three batches
+    assert generate_synthetic(spec).rows == reference_rows(spec)
+    assert len(sizes) >= 7 and set(sizes) == {LANES}
+
 
 def test_synthetic_spec_validation():
     with pytest.raises(ValueError):
@@ -147,6 +238,34 @@ def test_synthetic_spec_validation():
     spec = SyntheticSpec(5, 20, 0.05, seed=1)
     with pytest.raises(AttributeError):  # read-only once built
         spec.seed = 2
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((2.5, 5, 0.5, 1), "num_transactions must be an int, got 2.5"),
+    ((True, 5, 0.5, 1), "num_transactions must be an int, got True"),
+    ((5, 5.0, 0.5, 1), "num_items must be an int, got 5.0"),
+    ((5, False, 0.5, 1), "num_items must be an int, got False"),
+    ((5, 5, 0.5, 1.5), "seed must be an int, got 1.5"),
+    ((5, 5, 0.5, True), "seed must be an int, got True"),
+    ((5, 5, 0.5, "1"), "seed must be an int, got '1'"),
+    ((5, 5, True, 1), "density must be an int or a float, got True"),
+    ((5, 5, "0.5", 1), "density must be an int or a float, got '0.5'"),
+    ((5, 5, 0.5j, 1), "density must be an int or a float, got 0.5j"),
+    ((5, 5, None, 1), "density must be an int or a float, got None"),
+    ((5, 5, Fraction(1, 2), 1), "density must be an int or a float, got Fraction(1, 2)"),
+    ((5, 5, Decimal("0.5"), 1), "density must be an int or a float, got Decimal('0.5')"),
+], ids=["float-n", "bool-n", "float-items", "bool-items", "float-seed", "bool-seed",
+        "str-seed", "bool-density", "str-density", "complex-density", "none-density",
+        "fraction-density", "decimal-density"])
+def test_synthetic_spec_refuses_fields_of_the_wrong_type(fields, message):
+    with pytest.raises(ValueError) as err:
+        SyntheticSpec(*fields)
+    assert str(err.value) == message
+
+
+def test_synthetic_spec_takes_an_int_density():
+    assert generate_synthetic(SyntheticSpec(6, 5, 1, 4)) == \
+        generate_synthetic(SyntheticSpec(6, 5, 1.0, 4))
 
 
 def test_synthetic_density_one_is_all_items():

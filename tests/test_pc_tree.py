@@ -142,6 +142,13 @@ def test_validate_catches_corrupt_local_count(demo_tree):
     assert "node 70: count 0 < 1" in demo_tree.validate(deep=False)
 
 
+def test_validate_catches_a_counted_root(demo_tree):
+    demo_tree.index.bump(0, 3)  # the root's bit: the empty itemset gets a count
+    assert demo_tree.transaction_count == demo_tree.support(()) == 11
+    assert demo_tree.validate(deep=False) == ["root: count 3, not 0"]
+    assert "root: count 3, not 0" in demo_tree.validate()
+
+
 def test_validate_catches_duplicate_value(demo_tree):
     head = demo_tree.root.children[0]
     clone = PCNode(455, (C, D, F), birth=99)
