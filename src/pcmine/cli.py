@@ -70,7 +70,7 @@ RunOutcome = namedtuple("RunOutcome", "frequent candidates mine_ms build_ms maxi
 
 def _run_pcminer(db: TransactionDB, sigma: int) -> RunOutcome:
     t0 = time.perf_counter()
-    tree = pc_tree.build_tree(db)
+    tree = pc_tree.build_tree(db, sigma)
     t1 = time.perf_counter()
     result = pc_miner.mine(tree, sigma)
     t2 = time.perf_counter()

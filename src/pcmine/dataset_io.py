@@ -110,6 +110,14 @@ class SyntheticSpec(namedtuple("SyntheticSpec", "num_transactions num_items dens
             raise ValueError("density * num_items must be at least 1")
         return super().__new__(cls, num_transactions, num_items, density, seed)
 
+    @classmethod
+    def _make(cls, iterable):
+        """A spec from an iterable of its four fields, checked as the constructor checks them.
+
+        namedtuple's own _make, which _replace calls, would skip __new__.
+        """
+        return cls(*iterable)
+
     @property
     def name(self) -> str:
         return f"synthetic-{self.num_transactions}x{self.num_items}-d{self.density}-s{self.seed}"

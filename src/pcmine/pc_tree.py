@@ -10,6 +10,17 @@ each distinct itemset of TransactionDB.tally() once, in order of first
 occurrence, with its multiplicity as the count: the same tree as one insert
 per row, with one placement search per distinct value.
 
+Given the run's threshold sigma, build_tree(db, sigma) builds the tree over
+the frequent items only, as FP-growth builds its prefix tree (Han, Pei &
+Yin, SIGMOD 2000): it drops every item of support below sigma from each
+distinct row, drops the rows left empty, and merges the rows that become
+equal, in first-occurrence order, over the whole universe's prime table.
+The walk cannot tell the two trees apart. Its candidate head set is the
+maximal rows with their infrequent items removed, which the projection
+leaves as they are; it queries only itemsets of frequent items, whose
+supports a dropped item or a dropped row does not change. So examined,
+frequent (in its order) and maximal are the whole tree's.
+
 A new value goes into the first head's subtree, in creation order, that
 holds a multiple or a divisor of it, below the deepest multiple there; it
 becomes a new head when that subtree holds only divisors of it, or when no
@@ -472,14 +483,51 @@ class PCTree:
         return problems
 
 
-def build_tree(db: TransactionDB) -> PCTree:
-    """One-pass tree construction over a whole database.
+def build_tree(db: TransactionDB, sigma: int | None = None) -> PCTree:
+    """One-pass tree construction over a database, or over its frequent items.
 
     Each distinct itemset of db.tally() is inserted once with its
     multiplicity, in order of first occurrence: a repeat only bumps a
-    count, so the tree is the same as one insert per row.
+    count, so the tree is the same as one insert per row. With a threshold
+    sigma, the tally is first projected onto the items whose support is at
+    least sigma (_frequent_tally), and a row left empty is dropped, so the
+    tree is that of the projected database, over the same prime table:
+    every value is the database's own code. A dropped item's support reads
+    0 there, while every itemset of frequent items keeps its support, so
+    mine(tree, sigma) gives the same result on either tree (see the module
+    docstring). A sigma of 0 or 1 drops nothing and a negative one raises
+    ValueError.
     """
     tree = PCTree(build_prime_table(db.universe))
-    for items, count in db.tally().items():
+    tally = db.tally()
+    if sigma is not None:
+        if sigma < 0:
+            raise ValueError(f"support threshold must be non-negative, got {sigma}")
+        if sigma > 1:
+            tally = _frequent_tally(tally, sigma)
+    for items, count in tally.items():
         tree.insert(items, count)
     return tree
+
+
+def _frequent_tally(tally: dict[Itemset, int], sigma: int) -> dict[Itemset, int]:
+    """tally with every item below support sigma dropped from each itemset.
+
+    An itemset left empty is dropped, and itemsets that become equal are
+    merged, their counts summed, at the first one's place. When every item
+    the tally holds is frequent, it is returned as it is.
+    """
+    support: dict[int, int] = {}
+    get = support.get
+    for items, count in tally.items():
+        for item in items:
+            support[item] = get(item, 0) + count
+    frequent = {item for item, total in support.items() if total >= sigma}
+    if len(frequent) == len(support):
+        return tally
+    projected: dict[Itemset, int] = {}
+    keep = frequent.__contains__
+    for items, count in tally.items():
+        if kept := tuple(filter(keep, items)):
+            projected[kept] = projected.get(kept, 0) + count
+    return projected

@@ -263,6 +263,19 @@ def test_synthetic_spec_refuses_fields_of_the_wrong_type(fields, message):
     assert str(err.value) == message
 
 
+def test_synthetic_spec_make_and_replace_check_their_fields():
+    spec = SyntheticSpec(10, 5, 0.5, 1)
+    with pytest.raises(ValueError, match="need at least one transaction"):
+        spec._replace(num_transactions=-3)
+    with pytest.raises(ValueError, match="seed must be an int, got 1.5"):
+        SyntheticSpec._make([0, 0, True, 1.5])
+    with pytest.raises(TypeError):
+        SyntheticSpec._make([10, 5])
+    assert SyntheticSpec._make(iter([10, 5, 0.5, 1])) == spec
+    assert spec._replace(seed=2) == SyntheticSpec(10, 5, 0.5, 2)
+    assert type(spec._replace(seed=2)) is SyntheticSpec
+
+
 def test_synthetic_spec_takes_an_int_density():
     assert generate_synthetic(SyntheticSpec(6, 5, 1, 4)) == \
         generate_synthetic(SyntheticSpec(6, 5, 1.0, 4))
