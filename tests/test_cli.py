@@ -609,8 +609,9 @@ def test_bad_synthetic_spec_exits_two(capsys):
      "more than 4300 significant digits"),
     ("5,3e1,1,1", "cannot read --synthetic ITEMS '3e1': not an integer"),
     ("5,3,half,1", "cannot read --synthetic DENSITY 'half': not a decimal number"),
+    ("1,1" + "0" * 400 + ",0.5,1", "need at most 1048576 items"),  # read, then refused
 ], ids=["non-ascii-n", "non-ascii-density", "non-ascii-seed", "5000-digit-n", "float-items",
-        "word-density"])
+        "word-density", "401-digit-items"])
 def test_a_synthetic_field_is_read_as_min_sup_is(capsys, spec, error):
     code, out, err = run(capsys, "mine", "--synthetic", spec)
     assert code == EXIT_USAGE and out == ""

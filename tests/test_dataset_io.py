@@ -109,9 +109,20 @@ def test_load_reports_bytes_that_are_not_utf8_with_file_and_line(tmp_path, data,
 
 
 def test_load_reads_two_spellings_of_an_id_as_one_item(tmp_path):
-    db = load_transactions(write_file(tmp_path, "7 07\n007 3\n3 0\n00 7\n"))
-    assert db.rows == ((7,), (3, 7), (0, 3), (0, 7))
+    padded = "0" * 5000 + "7"  # more digits than int() reads, all but one of them zeros
+    db = load_transactions(write_file(tmp_path, f"7 07\n007 3\n3 0\n00 7\n{padded} 3\n"))
+    assert db.rows == ((7,), (3, 7), (0, 3), (0, 7), (3, 7))
     assert db.universe == (0, 3, 7)  # each id once, ascending, as TransactionDB requires
+
+
+def test_load_refuses_an_id_of_more_than_4300_significant_digits(tmp_path):
+    longest = "9" * 4300
+    path = write_file(tmp_path, f"1 {longest}\n2 0{longest}1\n")
+    with pytest.raises(TransactionParseError) as err:
+        load_transactions(path)
+    assert str(err.value) == (f"{path}:2: item id '0{'9' * 19}'... (4302 characters): "
+                              "more than 4300 significant digits")
+    assert load_transactions(write_file(tmp_path, f"1 {longest}\n")).universe == (1, 10**4300 - 1)
 
 
 @pytest.mark.parametrize("data, line, token", [
@@ -200,6 +211,7 @@ def synthetic_specs(draw):
 @example((SyntheticSpec(80, 24, 0.5, 8), 64))  # many batches
 @example((SyntheticSpec(20, 12, 0.3, -5), LANES))  # a negative seed
 @example((SyntheticSpec(20, 12, 0.3, 2**64 + 7), LANES))  # a seed past 64 bits
+@example((SyntheticSpec(40, 5, 0.2, 3), 3))  # empty draws that a batch boundary cuts
 def test_synthetic_equals_the_scalar_reference(case):
     spec, lanes = case
     with mock.patch.object(dataset_io, "LANES", lanes):
@@ -235,6 +247,11 @@ def test_synthetic_spec_validation():
         SyntheticSpec(5, 5, 1.5, 1)
     with pytest.raises(ValueError):
         SyntheticSpec(5, 20, 0.01, 1)  # expected length below one item
+    with pytest.raises(ValueError, match="need at most 1048576 items"):
+        SyntheticSpec(1, dataset_io.MAX_ITEMS + 1, 1.0, 1)
+    with pytest.raises(ValueError, match="num_transactions \\* num_items must be at most 16777216"):
+        SyntheticSpec(17, dataset_io.MAX_ITEMS, 1.0, 1)
+    SyntheticSpec(16, dataset_io.MAX_ITEMS, 1.0, 1)  # both caps are inclusive
     spec = SyntheticSpec(5, 20, 0.05, seed=1)
     with pytest.raises(AttributeError):  # read-only once built
         spec.seed = 2
