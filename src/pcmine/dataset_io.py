@@ -91,6 +91,7 @@ def load_transactions(path) -> TransactionDB:
                 skipped += 1
                 continue
             rows.append(row)
+    del parsed  # the rows share its tuples; its lines need not outlive the read
     if skipped:
         warnings.warn(f"{path}: skipped {skipped} empty transaction line(s)", stacklevel=2)
     return TransactionDB(rows, sorted(set(ids.values())))

@@ -25,10 +25,16 @@ singletons join the cover, and its covered() enumerates the frequent family
 depth first, each itemset once, so the cost of the family is linear in its
 size; no set of every subset of every top is built.
 
-A level is built from ordered runs. The heads are sorted once, each head's
-k-subsets come from combinations() in lexicographic order, and a dict built
-over them all drops the repeats while keeping that order. So the level's
-sort merges one ascending run per head instead of sorting hash order.
+A level is built from ordered runs, by one helper, _level(). The heads are
+sorted once, each head's k-subsets come from combinations() in
+lexicographic order, and a dict built over them all drops the repeats while
+keeping that order. So the level's sort merges one ascending run per head
+instead of sorting hash order.
+
+The walk keeps no log of what it examined. Its sorted heads and its tops
+fix every level, so the result's examined is a WalkTrace that rebuilds the
+levels with _level() when it is read, with no support query, and stores
+only their total length. The walk holds one level at a time.
 
 The walk is exponential in the length of the candidate heads, so mine()
 refuses work before it starts. Head h holds 2**|h| - |h| - 1 subsets of
@@ -37,8 +43,9 @@ candidates examined. Every frequent itemset of two or more items lies in a
 candidate head, so the same sum caps the frequent family and its backfill.
 Above WALK_MAX_WORK, mine() raises UniverseTooLargeError after the build and
 the head set, before the first level; the CLI exits 1, and compare notes the
-refusal and cross-checks the other miners. The trace costs about 94 bytes a
-candidate, so the guard caps it near 800 MB.
+refusal and cross-checks the other miners. While it is built, a level
+costs about 106 bytes a candidate for pairs and up to about 220 for longer
+itemsets, so the guard caps the one level held near 900 MB.
 
 Each evaluation is one PCTree.support() query on the candidate itemset,
 which the tree answers from its vertical bit index without encoding the
@@ -50,8 +57,9 @@ against.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, combinations
-from typing import Iterable
+from collections.abc import Sequence
+from itertools import chain, combinations, zip_longest
+from typing import Iterable, Iterator
 
 from .baselines import UniverseTooLargeError, effective_sigma
 from .pc_tree import PCTree, VerticalIndex
@@ -61,7 +69,10 @@ from .prime_codec import decode, encode  # noqa: F401
 
 # Every benchmark database bounds its walk at 190,654 candidates or fewer, and
 # wide-build's database at sigma 0.02 at 2,587,947; the smallest input known to
-# exhaust memory in the walk bounds it at 2.39e8.
+# exhaust memory in the walk bounds it at 2.39e8. The bound caps every level,
+# the one thing the walk holds: a level of a million pairs peaks at 106 MB
+# while it is built, and the 705,432-candidate middle level of one 22-item
+# head at 152 MB.
 WALK_MAX_WORK = 2**23
 
 
@@ -70,8 +81,10 @@ class MiningResult(namedtuple("MiningResult", "frequent maximal examined sigma")
 
     frequent maps each frequent itemset to its absolute support; maximal
     holds the subset-maximal frequent itemsets in lexicographic order;
-    examined logs the candidates whose support was evaluated, in evaluation
-    order; sigma is the absolute threshold actually enforced.
+    examined is the candidates whose support was evaluated, in evaluation
+    order, as a WalkTrace: its len() is stored, and iterating or indexing it
+    replays the walk's levels without a support query; sigma is the
+    absolute threshold actually enforced.
     """
 
     __slots__ = ()
@@ -79,6 +92,55 @@ class MiningResult(namedtuple("MiningResult", "frequent maximal examined sigma")
     @property
     def candidates_examined(self) -> int:
         return len(self.examined)
+
+
+class WalkTrace(Sequence):
+    """The candidates a walk examined, in order, replayed rather than stored.
+
+    The walk is fixed by its sorted candidate heads and its tops, the
+    frequent candidates, which it finds largest first. Level k is
+    _level(heads, k, cover) with the tops larger than k in the cover: a top
+    of level k holds no other candidate of its level. So iterating rebuilds
+    the levels one at a time, with no support query, and holds one level at
+    a time. len() is the count the walk stored. Indexing, slicing, reversed()
+    and repr replay the whole walk and answer as the tuple of the same
+    itemsets does. A trace equals a trace or a tuple of the same itemsets in
+    the same order, so, like a list, it is unhashable.
+    """
+
+    __slots__ = ("heads", "tops", "length")
+
+    def __init__(self, heads: tuple[Itemset, ...], tops: tuple[Itemset, ...], length: int):
+        self.heads, self.tops, self.length = heads, tops, length
+
+    def __iter__(self) -> Iterator[Itemset]:
+        cover, pending = VerticalIndex(), list(reversed(self.tops))  # the largest last
+        for k in range(max(map(len, self.heads), default=0), 1, -1):
+            while pending and len(pending[-1]) > k:
+                cover.add(pending.pop(), 1)
+            yield from _level(self.heads, k, cover)
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    # Sequence's own reversed() and index() read one index at a time, so
+    # each read would replay the walk; these replay it once.
+    def __reversed__(self) -> Iterator[Itemset]:
+        return reversed(tuple(self))
+
+    def index(self, value, *bounds) -> int:
+        return tuple(self).index(value, *bounds)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, WalkTrace)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip_longest(self, other))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def candidate_head(head: Itemset, frequencies: dict[int, int], sigma: int) -> Itemset:
@@ -113,17 +175,35 @@ def candidate_head_set(tree: PCTree, sigma: int) -> set[Itemset]:
     return maximal_frequent(filter(None, reduced))
 
 
+def _level(heads: Sequence[Itemset], k: int, cover: VerticalIndex) -> list[Itemset]:
+    """The sorted k-subsets of the heads that no itemset in cover holds.
+
+    A covered head is skipped whole. Each head's combinations() come in
+    lexicographic order, and the dict that drops the repeats keeps that
+    order, so the sort merges one ascending run per head. An empty cover,
+    before the walk's first frequent candidate, is not queried.
+    """
+    held = cover.supersets if cover.counts else None
+    level = sorted(dict.fromkeys(chain.from_iterable(
+        combinations(head, k) for head in heads if not (held and held(head)))))
+    return [candidate for candidate in level if not held(candidate)] if held else level
+
+
 def mine(tree: PCTree, sigma: int) -> MiningResult:
     """Enumerate every frequent itemset in the tree with its support.
 
     Candidates are processed level by level from the largest head size down
     to pairs, lexicographically within a level, so reruns examine the same
     candidates in the same order. Level k is built once, when the walk
-    reaches it: the k-subsets of the candidate heads that no top holds, head
-    by head in sorted order, then sorted, which merges the heads' ascending
-    runs. A candidate is known frequent when the cover, the index of the
-    tops, holds it; it is skipped without a query. The cover is empty until
-    the first frequent candidate, so until then no level reads it.
+    reaches it, by _level(): the k-subsets of the candidate heads that no
+    top holds, head by head in sorted order, then sorted, which merges the
+    heads' ascending runs. A candidate is known frequent when the cover, the
+    index of the tops, holds it; it is skipped without a query. Only a top
+    of a larger level can hold one: the heads are an antichain, and a top of
+    level k holds no other k-subset. So the level is filtered once, before
+    its queries, and the examined WalkTrace rebuilds it from the heads and
+    the tops larger than k. The cover is empty until the first frequent
+    candidate, so until then no level reads it.
     The frequent items are read from the candidate heads, not from the
     tree's frequency table a second time: each frequent item lies in the
     head of a node that holds it, candidate_head keeps it there, and the
@@ -152,18 +232,11 @@ def mine(tree: PCTree, sigma: int) -> MiningResult:
     items = sorted(set().union(*heads))  # the frequent items: H holds each of them
     tops: list[Itemset] = []  # the frequent examined candidates
     cover = VerticalIndex()  # bit b holds tops[b]
-    examined: list[Itemset] = []
+    length = 0
     for k in range(max(map(len, heads), default=0), 1, -1):
-        # Only a frequent candidate of a larger level covers a head or a
-        # candidate here: the heads are an antichain, and a frequent
-        # candidate of this level holds only itself.
-        covering = bool(tops)
-        level = dict.fromkeys(chain.from_iterable(combinations(head, k) for head in heads
-                                                  if not (covering and cover.supersets(head))))
-        for candidate in sorted(level):
-            if covering and cover.supersets(candidate):
-                continue
-            examined.append(candidate)
+        level = _level(heads, k, cover)
+        length += len(level)
+        for candidate in level:
             if tree.support(candidate) >= sig:
                 tops.append(candidate)
                 cover.add(candidate, 1)
@@ -173,4 +246,4 @@ def mine(tree: PCTree, sigma: int) -> MiningResult:
         cover.add(single, 1)
     supports = {f: tree.support(f) for f in cover.covered(items)}
     return MiningResult(frequent=supports, maximal=tuple(sorted(tops + singles)),
-                        examined=tuple(examined), sigma=sig)
+                        examined=WalkTrace(tuple(heads), tuple(tops), length), sigma=sig)

@@ -1,6 +1,9 @@
 """Miner tests: the frozen worked example, edge thresholds, lattice properties."""
 
+import copy
+import pickle
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -19,6 +22,7 @@ from pcmine.baselines import (
 from pcmine.dataset_io import SyntheticSpec, generate_synthetic
 from pcmine.pc_miner import (
     MiningResult,
+    WalkTrace,
     candidate_head,
     candidate_head_set,
     maximal_frequent,
@@ -367,3 +371,97 @@ def test_maximal_members_matches_the_pairwise_reference(itemsets, data):
     repeats = data.draw(st.lists(st.sampled_from(itemsets), max_size=10)) if itemsets else []
     family = data.draw(st.permutations(itemsets + repeats))
     assert maximal_frequent(family) == pairwise_maximal_members(family)
+
+
+def overlapping_tops_walk():
+    """30 random 10-of-12 rows, each three times, at 4: 290 examined under 66 overlapping tops."""
+    rng = random.Random(0)
+    rows = [rng.sample(range(12), 10) for _ in range(30)]
+    tree = build_tree(TransactionDB.from_itemsets([row for row in rows for _ in range(3)]))
+    return tree, 4
+
+
+def test_walk_trace_equals_the_stored_walk_in_either_operand_order(demo_tree):
+    tree, sigma = overlapping_tops_walk()
+    for tree, sigma in ((tree, sigma), (demo_tree, 4), (demo_tree, 1)):
+        trace, stored = mine(tree, sigma).examined, spawning_walk(tree, sigma).examined
+        assert type(trace) is WalkTrace and type(stored) is tuple and len(stored) > 1
+        assert trace == stored and stored == trace
+        assert not (trace != stored or stored != trace)
+        assert trace != () and () != trace
+    empty = mine(demo_tree, demo_tree.transaction_count + 1).examined
+    assert type(empty) is WalkTrace
+    assert empty == () and () == empty and not (empty != () or () != empty)
+    assert empty != [] and empty != ((A, C),)
+
+
+def test_walk_trace_differs_from_a_tuple_that_differs_in_one_candidate():
+    tree, sigma = overlapping_tops_walk()
+    trace = mine(tree, sigma).examined
+    stored = spawning_walk(tree, sigma).examined
+    assert trace == stored
+    for at in (0, len(stored) // 2, len(stored) - 1):
+        altered = stored[:at] + (stored[at][1:],) + stored[at + 1:]
+        assert trace != altered and altered != trace
+    for altered in (stored[:-1], stored + stored[-1:], stored[1:] + stored[:1]):
+        assert trace != altered and altered != trace
+
+
+def test_walk_trace_length_is_stored_not_replayed(monkeypatch):
+    tree, sigma = overlapping_tops_walk()
+    result = mine(tree, sigma)
+    calls = []
+
+    def counted(*args, _level=pc_miner._level):
+        calls.append(args[1])
+        return _level(*args)
+
+    monkeypatch.setattr(pc_miner, "_level", counted)
+    assert len(result.examined) == result.candidates_examined == 290
+    assert calls == []
+    assert len(list(result.examined)) == 290
+    assert calls == list(range(10, 1, -1))  # one rebuild per level, largest first
+
+
+def test_walk_trace_indexes_slices_and_reprs_as_its_tuple():
+    tree, sigma = overlapping_tops_walk()
+    trace = mine(tree, sigma).examined
+    as_tuple = tuple(trace)
+    assert as_tuple == spawning_walk(tree, sigma).examined
+    assert trace[1:] == as_tuple[1:] and type(trace[1:]) is tuple
+    assert trace[-1] == as_tuple[-1] and trace[0] == as_tuple[0]
+    assert repr(trace) == repr(as_tuple)
+    assert tuple(reversed(trace)) == as_tuple[::-1]
+    assert trace.index(as_tuple[7]) == 7 and trace.count(as_tuple[7]) == 1
+    assert as_tuple[-1] in trace and (A, B, C, D, E, F, 99) not in trace
+
+
+def test_a_mining_result_survives_pickle_and_deepcopy():
+    tree, sigma = overlapping_tops_walk()
+    result, stored = mine(tree, sigma), spawning_walk(tree, sigma).examined
+    for revived in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+        assert type(revived.examined) is WalkTrace
+        assert revived == result
+        assert tuple(revived.examined) == stored
+        assert revived.candidates_examined == result.candidates_examined
+
+
+def test_walk_trace_is_unhashable(demo_tree):
+    with pytest.raises(TypeError):
+        hash(mine(demo_tree, 4).examined)
+
+
+def test_the_walk_holds_one_level_not_its_whole_trace():
+    # Storing the trace costs about 108 bytes a candidate here; the largest
+    # level, with the frequent family, about 48.
+    tree = build_tree(generate_synthetic(SyntheticSpec(1000, 20, 0.3, 7)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = mine(tree, 50)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert result.candidates_examined == 73_185
+    assert peak < 64 * result.candidates_examined
