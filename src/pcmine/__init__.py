@@ -33,7 +33,6 @@ from .pc_tree import PCNode, PCTree, build_tree
 from .prime_codec import (
     ForeignPrimeError,
     Itemset,
-    PrimeTable,
     UnknownItemError,
     as_itemset,
     build_prime_table,
@@ -52,7 +51,6 @@ __all__ = [
     "MiningResult",
     "PCNode",
     "PCTree",
-    "PrimeTable",
     "STATS_HEADER",
     "StatsRow",
     "SyntheticSpec",

@@ -27,7 +27,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .pc_tree import VerticalIndex
-from .prime_codec import Itemset, as_itemset
+from .prime_codec import Itemset, _item_ids, as_itemset
 
 # Brute force counts each non-empty subset of each row, 2**|row| - 1 of them,
 # at 240-600 ns a subset in CPython. At 2**20 subsets its worst case, four
@@ -67,14 +67,6 @@ class UniverseTooLargeError(ValueError):
     pc_miner.WALK_MAX_WORK. The CLI exits 1 on it, and compare prints it as
     a note and cross-checks the miners that ran.
     """
-
-
-def _item_ids(ids):
-    """ids, once each is known to be a non-negative plain int (a bool is not one)."""
-    for item in ids:
-        if type(item) is not int or item < 0:
-            raise ValueError(f"item ids must be non-negative integers, got {item!r}")
-    return ids
 
 
 class TransactionDB:

@@ -82,9 +82,9 @@ from bisect import bisect_left
 from collections import Counter
 from functools import reduce
 from operator import attrgetter, or_
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-from .prime_codec import Itemset, PrimeTable, as_itemset, build_prime_table, encode
+from .prime_codec import Itemset, as_itemset, build_prime_table, encode
 
 if TYPE_CHECKING:  # baselines imports this module for Apriori's VerticalIndex
     from .baselines import TransactionDB
@@ -264,7 +264,7 @@ class PCTree:
     the root). Every query is a plain read, so concurrent queries are safe.
     """
 
-    def __init__(self, prime_table: PrimeTable):
+    def __init__(self, prime_table: Mapping[int, int]):
         self.prime_table = prime_table
         self.root = PCNode(None, (), birth=0)
         self.index = VerticalIndex()
@@ -287,7 +287,7 @@ class PCTree:
     @property
     def frequency_table(self) -> dict[int, int]:
         """Each item of the prime table with the number of transactions holding it."""
-        return {item: self.index.support((item,)) for item in self.prime_table.item_ids}
+        return {item: self.index.support((item,)) for item in self.prime_table}
 
     def insert(self, items: Iterable[int], count: int = 1) -> None:
         """Ingest count copies of one transaction (count >= 1).
@@ -475,7 +475,7 @@ class PCTree:
             for item in births.keys() | rows.keys():
                 if rows.get(item, 0) != _mask(births.get(item, ())):
                     problems.append(f"item {item}: bit row disagrees with the nodes holding it")
-            for item in self.prime_table.item_ids:
+            for item in self.prime_table:
                 if (got := self.index.support((item,))) != walked[item]:
                     problems.append(
                         f"item {item}: support() says {got}, walk_support() says {walked[item]}"

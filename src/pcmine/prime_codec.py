@@ -6,6 +6,11 @@ square-free positive integer that is 1 exactly for the empty set. The payoff
 is that subset queries turn into integer divisibility: q's itemset is
 contained in p's itemset if and only if q divides p. Products of even modest
 itemsets overflow machine words, so values are plain Python ints throughout.
+
+The prime table (build_prime_table) is a read-only mapping from item id to
+prime, a types.MappingProxyType, and safe to share between threads. Ascending
+ids get ascending primes, starting at 2, and iteration goes in ascending id
+order, so table.items() lists the pairs in the order decode divides them out.
 """
 
 from __future__ import annotations
@@ -13,10 +18,13 @@ from __future__ import annotations
 from itertools import compress
 from math import isqrt, log, prod
 from operator import lt
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 Itemset = tuple[int, ...]
 """Canonical itemset: strictly ascending, duplicate-free item ids."""
+
+_FLAT_FACTORS = 64  # encode multiplies at most this many primes with one prod()
 
 
 class UnknownItemError(KeyError):
@@ -56,71 +64,60 @@ def first_n_primes(n: int) -> list[int]:
     return list(compress(range(limit + 1), sieve))[:n]
 
 
-class PrimeTable:
-    """Bijection between one item universe and the first primes.
+def _item_ids(ids):
+    """ids, once each is known to be a non-negative plain int (a bool is not one)."""
+    for item in ids:
+        if type(item) is not int or item < 0:
+            raise ValueError(f"item ids must be non-negative integers, got {item!r}")
+    return ids
 
-    Item ids are sorted ascending and paired with ascending primes, so the
-    mapping is a function of the universe alone: any two builds over the same
-    ids agree. Immutable after construction; safe to share between threads.
+
+def build_prime_table(universe: Iterable[int]) -> Mapping[int, int]:
+    """The prime table of a universe of item ids: a read-only item -> prime map.
+
+    Ids are sorted ascending and paired with the first primes, ascending from
+    2, so the table is a function of the universe alone: any two builds over
+    the same ids agree. It iterates in ascending id order, and its primes
+    ascend with it. It cannot be changed, so it is safe to share between
+    threads. An id that is not a non-negative plain int (a bool, a float
+    equal to an int, a string) raises ValueError before any two are compared.
     """
-
-    __slots__ = ("_prime_by_item", "_item_by_prime", "_item_ids", "_primes")
-
-    def __init__(self, universe: Iterable[int]):
-        ids = sorted(set(universe))
-        if ids and ids[0] < 0:
-            raise ValueError("item ids must be non-negative")
-        primes = first_n_primes(len(ids))
-        self._item_ids = tuple(ids)
-        self._primes = tuple(primes)
-        self._prime_by_item = dict(zip(ids, primes))
-        self._item_by_prime = dict(zip(primes, ids))
-
-    @property
-    def item_ids(self) -> tuple[int, ...]:
-        return self._item_ids
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return self._primes
-
-    def prime_for(self, item: int) -> int:
-        try:
-            return self._prime_by_item[item]
-        except KeyError:
-            raise UnknownItemError(f"item {item} is not in this prime table") from None
-
-    def item_for(self, prime: int) -> int:
-        return self._item_by_prime[prime]
-
-    def __contains__(self, item: int) -> bool:
-        return item in self._prime_by_item
-
-    def __len__(self) -> int:
-        return len(self._prime_by_item)
-
-    def __repr__(self) -> str:
-        return f"PrimeTable({len(self)} items)"
+    ids = sorted(set(_item_ids(tuple(universe))))
+    return MappingProxyType(dict(zip(ids, first_n_primes(len(ids)))))
 
 
-def build_prime_table(universe: Iterable[int]) -> PrimeTable:
-    """Assign primes to a universe of item ids (ascending id, ascending prime)."""
-    return PrimeTable(universe)
+def _product(factors: list[int]) -> int:
+    """prod(factors), as a product tree: the two halves' products times each other.
+
+    prod() multiplies left to right, so each step multiplies a growing
+    product by one small factor, which is quadratic in the number of
+    factors. Splitting in halves multiplies numbers of like size, which
+    Python's Karatsuba multiplication does in less.
+    """
+    if len(factors) <= _FLAT_FACTORS:
+        return prod(factors)
+    half = len(factors) // 2
+    return _product(factors[:half]) * _product(factors[half:])
 
 
-def encode(items: Iterable[int], table: PrimeTable) -> int:
+def encode(items: Iterable[int], table: Mapping[int, int]) -> int:
     """Transaction value of an itemset: the product of its items' primes.
 
     The empty set encodes to 1. Raises UnknownItemError when an item is
     outside the table's universe, which signals a table/universe mismatch.
+    An itemset of more than _FLAT_FACTORS items is multiplied as a product
+    tree (_product), which keeps very long rows from costing quadratic time.
     """
+    items = set(items)
     try:
-        return prod(map(table._prime_by_item.__getitem__, set(items)))
+        if len(items) <= _FLAT_FACTORS:
+            return prod(map(table.__getitem__, items))
+        return _product(list(map(table.__getitem__, items)))
     except KeyError as missing:
         raise UnknownItemError(f"item {missing.args[0]} is not in this prime table") from None
 
 
-def decode(value: int, table: PrimeTable) -> Itemset:
+def decode(value: int, table: Mapping[int, int]) -> Itemset:
     """Invert encode: factor a square-free product of table primes.
 
     Each table prime is divided out at most once, so squares and primes from
@@ -130,17 +127,17 @@ def decode(value: int, table: PrimeTable) -> Itemset:
         raise ValueError(f"transaction values are positive, got {value}")
     items = []
     residue = value
-    for prime in table.primes:
+    for item, prime in table.items():
         if residue == 1:
             break
         if residue % prime == 0:
-            items.append(table.item_for(prime))
+            items.append(item)
             residue //= prime
     if residue != 1:
         raise ForeignPrimeError(
             f"{value} leaves residue {residue} after dividing out table primes"
         )
-    # ascending primes map to ascending ids, so items is already sorted
+    # the table iterates in ascending id order, so items is already sorted
     return tuple(items)
 
 

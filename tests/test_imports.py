@@ -1,8 +1,11 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and reads no
+private attribute of another object.
 
 A name listed in the module's __all__ counts as used, and so does an import
 on a line marked "# noqa: F401", which keeps a name other code reads from
-the module.
+the module. A private attribute is one whose name starts with an underscore
+and is not a dunder; self and cls may use their own, and namedtuple's public
+methods (_make, _replace, _asdict, _fields) are not private.
 """
 
 import ast
@@ -40,3 +43,27 @@ def test_an_unused_import_is_found():
     source = ("from operator import lt, or_\nimport os  # noqa: F401\nimport os.path as p\n"
               "import sys\n__all__ = ['sys']\nprint(or_)\n")
     assert unused_imports(source) == ["lt (line 1)", "p (line 3)"]
+
+
+NAMEDTUPLE_API = {"_make", "_replace", "_asdict", "_fields"}
+
+
+def private_reads(source):
+    found = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+             and not (node.attr.startswith("__") and node.attr.endswith("__"))
+             and node.attr not in NAMEDTUPLE_API
+             and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"{ast.unparse(node)} (line {node.lineno})" for node in found]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_module_reads_no_private_attribute_of_another_object(path):
+    assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_private_attribute_read_is_found():
+    source = ("class A:\n    def f(self, other):\n        return self._x, cls._y, other._z\n"
+              "row._replace(a=1), row._fields, t.__class__, self.index._rows\n")
+    assert private_reads(source) == ["other._z (line 3)", "self.index._rows (line 4)"]

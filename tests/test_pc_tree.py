@@ -726,11 +726,11 @@ def test_one_value_adopts_several_non_adjacent_heads():
     db = TransactionDB.from_itemsets([(i,) for i in range(40)] + [short, long])
     tree = build_tree(db)
     table = tree.prime_table
-    singles = [table.prime_for(i) for i in range(40) if i not in short + long]
+    singles = [table[i] for i in range(40) if i not in short + long]
     assert tree.heads() == (*singles, encode(short, table), encode(long, table))
     for items in (short, long):
         adopted = tree._node_by_value[encode(items, table)].children
-        assert [c.value for c in adopted] == [table.prime_for(i) for i in items]
+        assert [c.value for c in adopted] == [table[i] for i in items]
     assert tree_shape(tree) == reference_shape(db)
     assert tree.validate() == []
 

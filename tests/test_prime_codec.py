@@ -1,6 +1,7 @@
 """Codec tests: known values, an independent sieve oracle, and round-trip laws."""
 
 from itertools import combinations, takewhile
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -68,14 +69,12 @@ def test_first_n_primes_rejects_negative():
 
 def test_prime_table_is_ascending_and_bijective():
     table = build_prime_table({9, 3, 5})
-    assert table.prime_for(3) == 2
-    assert table.prime_for(5) == 3
-    assert table.prime_for(9) == 5
-    assert table.item_for(5) == 9
+    assert list(table.items()) == [(3, 2), (5, 3), (9, 5)]
     assert len(table) == 3 and 9 in table and 4 not in table
+    with pytest.raises(TypeError):
+        table[4] = 7
     with pytest.raises(UnknownItemError, match="item 4 is not in this prime table"):
-        table.prime_for(4)
-    assert repr(table) == "PrimeTable(3 items)"
+        encode((4,), table)
     # a tree node shows its value, the code of its items in this table
     assert repr(PCNode(encode((3, 9), table), (3, 9), birth=1)) == "PCNode(10, birth=1)"
 
@@ -89,6 +88,21 @@ def test_prime_table_empty_universe():
 def test_prime_table_rejects_negative_ids():
     with pytest.raises(ValueError):
         build_prime_table([-1, 2])
+
+
+@pytest.mark.parametrize("universe", [[True, 2], [1.0], ["3"]], ids=repr)
+def test_prime_table_rejects_ids_that_are_not_plain_ints(universe):
+    with pytest.raises(ValueError, match="item ids must be non-negative integers"):
+        build_prime_table(universe)
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 129, 4097])
+def test_long_itemsets_encode_to_the_product_of_their_primes(n):
+    """Past 64 items encode multiplies as a product tree; the value is the same."""
+    table = build_prime_table(range(n))
+    value = encode(range(n), table)
+    assert value == prod(first_n_primes(n))
+    assert decode(value, table) == tuple(range(n))
 
 
 @pytest.fixture(scope="module")
@@ -189,5 +203,5 @@ def test_encoding_grows_with_the_set(x, extra):
 def test_square_freeness(items):
     table = build_prime_table(range(12))
     value = encode(items, table)
-    for prime in table.primes:
+    for prime in table.values():
         assert value % (prime * prime) != 0
