@@ -27,7 +27,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .pc_tree import VerticalIndex
-from .prime_codec import Itemset, _item_ids, as_itemset
+from .prime_codec import Itemset, as_itemset, check_item_ids
 
 # Brute force counts each non-empty subset of each row, 2**|row| - 1 of them,
 # at 240-600 ns a subset in CPython. At 2**20 subsets its worst case, four
@@ -90,7 +90,7 @@ class TransactionDB:
     __slots__ = ("rows", "universe")
 
     def __init__(self, rows: Iterable[Iterable[int]], universe: Iterable[int]):
-        rows, universe = tuple(map(tuple, rows)), _item_ids(tuple(universe))
+        rows, universe = tuple(map(tuple, rows)), check_item_ids(tuple(universe))
         allowed = set(universe)
         if list(universe) != sorted(allowed):
             raise ValueError("universe must be strictly ascending")
@@ -143,7 +143,7 @@ class TransactionDB:
         """
         rows = tuple(map(tuple, itemsets))
         if universe is None:
-            universe = sorted(_item_ids(set().union(*rows)))
+            universe = sorted(check_item_ids(set().union(*rows)))
         return cls(rows, universe)
 
     @property

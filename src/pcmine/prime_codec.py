@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 Itemset = tuple[int, ...]
 """Canonical itemset: strictly ascending, duplicate-free item ids."""
 
-_FLAT_FACTORS = 64  # encode multiplies at most this many primes with one prod()
+_FLAT_FACTORS = 64  # _product multiplies at most this many primes with one prod()
 
 
 class UnknownItemError(KeyError):
@@ -64,7 +64,7 @@ def first_n_primes(n: int) -> list[int]:
     return list(compress(range(limit + 1), sieve))[:n]
 
 
-def _item_ids(ids):
+def check_item_ids(ids):
     """ids, once each is known to be a non-negative plain int (a bool is not one)."""
     for item in ids:
         if type(item) is not int or item < 0:
@@ -79,10 +79,13 @@ def build_prime_table(universe: Iterable[int]) -> Mapping[int, int]:
     2, so the table is a function of the universe alone: any two builds over
     the same ids agree. It iterates in ascending id order, and its primes
     ascend with it. It cannot be changed, so it is safe to share between
-    threads. An id that is not a non-negative plain int (a bool, a float
-    equal to an int, a string) raises ValueError before any two are compared.
+    threads. Like any mappingproxy it cannot be pickled or copied, and a
+    PCTree that holds it cannot be pickled or deep-copied. Looking up an id
+    it lacks raises a plain KeyError; encode raises UnknownItemError for one.
+    An id that is not a non-negative plain int (a bool, a float equal to an
+    int, a string) raises ValueError before any two are compared.
     """
-    ids = sorted(set(_item_ids(tuple(universe))))
+    ids = sorted(set(check_item_ids(tuple(universe))))
     return MappingProxyType(dict(zip(ids, first_n_primes(len(ids)))))
 
 
@@ -105,14 +108,11 @@ def encode(items: Iterable[int], table: Mapping[int, int]) -> int:
 
     The empty set encodes to 1. Raises UnknownItemError when an item is
     outside the table's universe, which signals a table/universe mismatch.
-    An itemset of more than _FLAT_FACTORS items is multiplied as a product
-    tree (_product), which keeps very long rows from costing quadratic time.
+    The primes are multiplied as a product tree (_product), which keeps very
+    long rows from costing quadratic time.
     """
-    items = set(items)
     try:
-        if len(items) <= _FLAT_FACTORS:
-            return prod(map(table.__getitem__, items))
-        return _product(list(map(table.__getitem__, items)))
+        return _product([table[item] for item in set(items)])
     except KeyError as missing:
         raise UnknownItemError(f"item {missing.args[0]} is not in this prime table") from None
 

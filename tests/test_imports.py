@@ -3,9 +3,10 @@ private attribute of another object.
 
 A name listed in the module's __all__ counts as used, and so does an import
 on a line marked "# noqa: F401", which keeps a name other code reads from
-the module. A private attribute is one whose name starts with an underscore
-and is not a dunder; self and cls may use their own, and namedtuple's public
-methods (_make, _replace, _asdict, _fields) are not private.
+the module. A private name is one that starts with an underscore and is not
+a dunder; self and cls may use their own attributes, namedtuple's public
+methods (_make, _replace, _asdict, _fields) are not private, and importing a
+private name from another module counts as reading it.
 """
 
 import ast
@@ -48,14 +49,22 @@ def test_an_unused_import_is_found():
 NAMEDTUPLE_API = {"_make", "_replace", "_asdict", "_fields"}
 
 
+def is_private(name):
+    return (name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+            and name not in NAMEDTUPLE_API)
+
+
 def private_reads(source):
-    found = [node for node in ast.walk(ast.parse(source))
-             if isinstance(node, ast.Attribute) and node.attr.startswith("_")
-             and not (node.attr.startswith("__") and node.attr.endswith("__"))
-             and node.attr not in NAMEDTUPLE_API
-             and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
-    found.sort(key=lambda node: (node.lineno, node.col_offset))
-    return [f"{ast.unparse(node)} (line {node.lineno})" for node in found]
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and is_private(node.attr)
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
+            found.append((node.lineno, node.col_offset, ast.unparse(node)))
+        elif isinstance(node, ast.ImportFrom):
+            source_module = "." * node.level + (node.module or "")
+            found += [(node.lineno, node.col_offset, f"from {source_module} import {alias.name}")
+                      for alias in node.names if is_private(alias.name)]
+    return [f"{name} (line {line})" for line, _, name in sorted(found)]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
@@ -65,5 +74,8 @@ def test_module_reads_no_private_attribute_of_another_object(path):
 
 def test_a_private_attribute_read_is_found():
     source = ("class A:\n    def f(self, other):\n        return self._x, cls._y, other._z\n"
-              "row._replace(a=1), row._fields, t.__class__, self.index._rows\n")
-    assert private_reads(source) == ["other._z (line 3)", "self.index._rows (line 4)"]
+              "row._replace(a=1), row._fields, t.__class__, self.index._rows\n"
+              "from .codec import encode, _check as check\nfrom . import __version__, _impl\n")
+    assert private_reads(source) == ["other._z (line 3)", "self.index._rows (line 4)",
+                                     "from .codec import _check (line 5)",
+                                     "from . import _impl (line 6)"]

@@ -1,5 +1,7 @@
 """Codec tests: known values, an independent sieve oracle, and round-trip laws."""
 
+import copy
+import pickle
 from itertools import combinations, takewhile
 from math import prod
 
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmine.pc_tree import PCNode
+from pcmine.baselines import TransactionDB
+from pcmine.pc_tree import PCNode, build_tree
 from pcmine.prime_codec import (
     ForeignPrimeError,
     UnknownItemError,
@@ -83,6 +86,22 @@ def test_prime_table_empty_universe():
     table = build_prime_table([])
     assert len(table) == 0
     assert encode((), table) == 1
+
+
+def test_prime_table_is_a_mappingproxy_with_its_limits():
+    """The table cannot be pickled or copied; a tree that holds it cannot be
+    pickled or deep-copied, and its shallow copy shares the table. A lookup
+    of a missing id raises a plain KeyError."""
+    table = build_prime_table([3, 5])
+    tree = build_tree(TransactionDB.from_itemsets([(3, 5), (5,)]))
+    for operation, value in [(pickle.dumps, table), (copy.copy, table), (copy.deepcopy, table),
+                             (pickle.dumps, tree), (copy.deepcopy, tree)]:
+        with pytest.raises(TypeError, match="cannot pickle 'mappingproxy' object"):
+            operation(value)
+    assert copy.copy(tree).prime_table is tree.prime_table
+    with pytest.raises(KeyError) as missing:
+        table[4]
+    assert type(missing.value) is KeyError
 
 
 def test_prime_table_rejects_negative_ids():
