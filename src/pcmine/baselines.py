@@ -1,14 +1,16 @@
 """Reference miners: exhaustive enumeration and level-wise Apriori.
 
 TransactionDB is the one place a row is made canonical: every miner reads
-ascending, duplicate-free rows. Apriori reads TransactionDB.tally(), the one
-place duplicate rows are collapsed, which build_tree reads too, and counts
-over a pc_tree.VerticalIndex built from it, the index pcminer's support
-queries read: one bit per distinct row, weighted by its multiplicity. The
-cost of sharing is that a bug in the tally or in VerticalIndex.support()
-would make pcminer and Apriori agree with each other. Brute force counts
-every non-empty subset of every raw row, which is the definition of support,
-and reads nothing the other two miners share, so it stays the independent
+ascending, duplicate-free rows. Its constructor counts the rows in one pass
+and checks each distinct row of that count; TransactionDB.tally() is the
+count, read-only and the same mapping on every call, and a caller copies it
+to change it. build_tree reads it, and so does Apriori, which counts over a
+pc_tree.VerticalIndex built from it, the index pcminer's support queries
+read: one bit per distinct row, weighted by its multiplicity. The cost of
+sharing is that a bug in the tally or in VerticalIndex.support() would make
+pcminer and Apriori agree with each other. Brute force counts every
+non-empty subset of every raw row, which is the definition of support, and
+reads nothing the other two miners share, so it stays the independent
 check that such a bug makes them differ from; support() itself is tested
 against the paper's tree walk, PCTree.walk_support(). Brute force checks its
 one guard, the number of subsets it would count, before it counts anything,
@@ -24,7 +26,8 @@ import warnings
 from collections import Counter, namedtuple
 from itertools import chain, combinations, groupby
 from math import comb
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .pc_tree import VerticalIndex
 from .prime_codec import Itemset, as_itemset, check_item_ids
@@ -81,21 +84,22 @@ class TransactionDB:
     strictly ascending is kept as it is, and any other is sorted, without
     repeated items. It keeps tuples of what it is given, so a list
     passed in cannot change the database later and a generator is read
-    once; a tuple of canonical rows is kept as it is. It checks each
-    distinct row once, in order of first occurrence, so a refusal names the
-    first transaction that holds a bad row.
-    tally() is the only place duplicate rows are collapsed.
+    once; a tuple of canonical rows is kept as it is. It counts the rows in
+    one pass and checks each distinct row once, in order of first
+    occurrence, so a refusal names the first transaction that holds a bad
+    row; it counts again only when it has rewritten a row. That count is
+    tally(), the one place duplicate rows are collapsed.
     """
 
-    __slots__ = ("rows", "universe")
+    __slots__ = ("rows", "universe", "_tally")
 
     def __init__(self, rows: Iterable[Iterable[int]], universe: Iterable[int]):
         rows, universe = tuple(map(tuple, rows)), check_item_ids(tuple(universe))
         allowed = set(universe)
         if list(universe) != sorted(allowed):
             raise ValueError("universe must be strictly ascending")
-        canonical, plain = {}, {int}
-        for items in dict.fromkeys(rows):
+        tally, canonical, plain = Counter(rows), {}, {int}
+        for items in tally:
             if not items:
                 raise ValueError(f"transaction {rows.index(items) + 1} is empty")
             if not allowed.issuperset(items):
@@ -109,8 +113,10 @@ class TransactionDB:
                 canonical[items] = fixed
         if canonical:
             rows = tuple(canonical.get(items, items) for items in rows)
+            tally = Counter(rows)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "_tally", MappingProxyType(tally))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -158,9 +164,14 @@ class TransactionDB:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def tally(self) -> Counter[Itemset]:
-        """Each distinct itemset with its number of rows, in first-occurrence order."""
-        return Counter(self.rows)
+    def tally(self) -> Mapping[Itemset, int]:
+        """Each distinct itemset with its number of rows, in first-occurrence order.
+
+        The constructor's count, not a recount: a read-only view of a Counter,
+        the same mapping on every call, in which an itemset no row holds
+        reads 0. A caller that needs to change it copies it first.
+        """
+        return self._tally
 
 
 BaselineResult = namedtuple("BaselineResult", "frequent candidates_generated")

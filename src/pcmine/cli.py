@@ -74,7 +74,7 @@ def _run_pcminer(db: TransactionDB, sigma: int) -> RunOutcome:
     t1 = time.perf_counter()
     result = pc_miner.mine(tree, sigma)
     t2 = time.perf_counter()
-    return RunOutcome(result.frequent, result.candidates_examined,
+    return RunOutcome(result.frequent, len(result.examined),
                       mine_ms=(t2 - t1) * 1000.0, build_ms=(t1 - t0) * 1000.0,
                       maximal=result.maximal)
 

@@ -89,10 +89,6 @@ class MiningResult(namedtuple("MiningResult", "frequent maximal examined sigma")
 
     __slots__ = ()
 
-    @property
-    def candidates_examined(self) -> int:
-        return len(self.examined)
-
 
 class WalkTrace(Sequence):
     """The candidates a walk examined, in order, replayed rather than stored.

@@ -280,11 +280,6 @@ class PCTree:
         return len(self._node_by_value)
 
     @property
-    def transaction_count(self) -> int:
-        """Number of ingested transactions."""
-        return sum(self.index.counts)
-
-    @property
     def frequency_table(self) -> dict[int, int]:
         """Each item of the prime table with the number of transactions holding it."""
         return {item: self.index.support((item,)) for item in self.prime_table}
@@ -483,7 +478,7 @@ class PCTree:
         return problems
 
 
-def build_tree(db: TransactionDB, sigma: int | None = None) -> PCTree:
+def build_tree(db: TransactionDB, sigma: int = 1) -> PCTree:
     """One-pass tree construction over a database, or over its frequent items.
 
     Each distinct itemset of db.tally() is inserted once with its
@@ -495,22 +490,21 @@ def build_tree(db: TransactionDB, sigma: int | None = None) -> PCTree:
     every value is the database's own code. A dropped item's support reads
     0 there, while every itemset of frequent items keeps its support, so
     mine(tree, sigma) gives the same result on either tree (see the module
-    docstring). A sigma of 0 or 1 drops nothing and a negative one raises
-    ValueError.
+    docstring). The default sigma of 1, like 0, drops nothing and builds
+    the whole tree; a negative sigma raises ValueError.
     """
+    if sigma < 0:
+        raise ValueError(f"support threshold must be non-negative, got {sigma}")
     tree = PCTree(build_prime_table(db.universe))
     tally = db.tally()
-    if sigma is not None:
-        if sigma < 0:
-            raise ValueError(f"support threshold must be non-negative, got {sigma}")
-        if sigma > 1:
-            tally = _frequent_tally(tally, sigma)
+    if sigma > 1:
+        tally = _frequent_tally(tally, sigma)
     for items, count in tally.items():
         tree.insert(items, count)
     return tree
 
 
-def _frequent_tally(tally: dict[Itemset, int], sigma: int) -> dict[Itemset, int]:
+def _frequent_tally(tally: Mapping[Itemset, int], sigma: int) -> Mapping[Itemset, int]:
     """tally with every item below support sigma dropped from each itemset.
 
     An itemset left empty is dropped, and itemsets that become equal are

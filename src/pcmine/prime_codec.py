@@ -122,6 +122,11 @@ def decode(value: int, table: Mapping[int, int]) -> Itemset:
 
     Each table prime is divided out at most once, so squares and primes from
     outside the table both leave a residue and raise ForeignPrimeError.
+    Its time is quadratic in the itemset's length, since each % and // runs
+    over a residue about as long as the value: decoding the code of range(n)
+    took 3.4 ms at n = 1,000, 0.10 s at 5,000, 1.7 s at 20,000 and 50 s at
+    100,000 (Python 3.11, shared 2-vCPU VM). Nothing in the package calls
+    it.
     """
     if value < 1:
         raise ValueError(f"transaction values are positive, got {value}")

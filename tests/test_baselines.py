@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -385,3 +386,17 @@ def test_brute_force_support_is_the_literal_count(db):
     for size in range(1, len(db.universe) + 1):
         for itemset in combinations(db.universe, size):
             assert counted.get(itemset, 0) == sum(set(itemset) <= row for row in rows)
+
+
+@given(db=st.one_of(small_databases(), repeated_databases(), unsorted_databases()))
+@settings(max_examples=100, deadline=None)
+def test_tally_is_counted_once_and_is_read_only(db):
+    tally = db.tally()
+    assert db.tally() is tally  # the constructor's count, not a recount or a copy
+    # Order included: rows made canonical merge at their first occurrence.
+    assert list(tally.items()) == list(Counter(db.rows).items())
+    assert tally[()] == 0  # no row is empty, and a missing itemset reads 0
+    with pytest.raises(TypeError):
+        tally[db.rows[0]] = 1
+    with pytest.raises(TypeError):
+        del tally[db.rows[0]]

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -301,7 +302,7 @@ def test_compare_catches_a_wrong_tally_through_brute_force(capsys, monkeypatch):
     real = TransactionDB.tally
 
     def one_copy_short(db):
-        tally = real(db)
+        tally = Counter(real(db))  # a copy: the stored tally is read-only
         (repeated,) = [items for items, k in tally.items() if k > 1]  # demo8 has one
         tally[repeated] -= 1
         return tally

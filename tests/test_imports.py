@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, and reads no
-private attribute of another object.
+private attribute of another object; the package exports exactly the names
+its __init__ imports.
 
 A name listed in the module's __all__ counts as used, and so does an import
 on a line marked "# noqa: F401", which keeps a name other code reads from
@@ -79,3 +80,26 @@ def test_a_private_attribute_read_is_found():
     assert private_reads(source) == ["other._z (line 3)", "self.index._rows (line 4)",
                                      "from .codec import _check (line 5)",
                                      "from . import _impl (line 6)"]
+
+
+def export_drift(source):
+    """(imported but not in __all__, in __all__ but not imported), each sorted."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(target, ast.Name) and target.id == "__all__"
+                        for target in node.targets)
+                for name in ast.literal_eval(node.value)}
+    return sorted(imported - exported), sorted(exported - imported)
+
+
+def test_package_exports_exactly_what_it_imports():
+    source = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    assert export_drift(source) == ([], [])
+
+
+def test_an_export_drift_is_found():
+    source = ("from .codec import decode, encode as enc\nfrom .tree import build\n"
+              "__version__ = '1'\n__all__ = ['build', 'decode', 'gone']\n")
+    assert export_drift(source) == (["enc"], ["gone"])

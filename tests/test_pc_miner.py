@@ -61,7 +61,7 @@ def test_candidate_head_set_demo(demo_tree):
 def test_mine_demo_at_four(demo_tree):
     result = mine(demo_tree, 4)
     assert result.sigma == 4
-    assert result.candidates_examined == 6
+    assert len(result.examined) == 6
     assert set(result.examined) == {
         (A, C, D, F), (A, C, D), (A, C, F), (A, D, F), (C, D, F), (A, F)}
     # level by level, lexicographic inside a level, so the log is stable
@@ -78,10 +78,10 @@ def test_mine_demo_at_seven(demo_tree):
 
 
 def test_mine_above_database_size_is_empty(demo_tree):
-    result = mine(demo_tree, demo_tree.transaction_count + 1)
+    result = mine(demo_tree, demo_tree.support(()) + 1)
     assert result.frequent == {}
     assert result.maximal == ()
-    assert result.candidates_examined == 0
+    assert len(result.examined) == 0
 
 
 def test_mine_sigma_zero_warns_and_means_one(demo_tree):
@@ -389,7 +389,7 @@ def test_walk_trace_equals_the_stored_walk_in_either_operand_order(demo_tree):
         assert trace == stored and stored == trace
         assert not (trace != stored or stored != trace)
         assert trace != () and () != trace
-    empty = mine(demo_tree, demo_tree.transaction_count + 1).examined
+    empty = mine(demo_tree, demo_tree.support(()) + 1).examined
     assert type(empty) is WalkTrace
     assert empty == () and () == empty and not (empty != () or () != empty)
     assert empty != [] and empty != ((A, C),)
@@ -417,7 +417,7 @@ def test_walk_trace_length_is_stored_not_replayed(monkeypatch):
         return _level(*args)
 
     monkeypatch.setattr(pc_miner, "_level", counted)
-    assert len(result.examined) == result.candidates_examined == 290
+    assert len(result.examined) == 290
     assert calls == []
     assert len(list(result.examined)) == 290
     assert calls == list(range(10, 1, -1))  # one rebuild per level, largest first
@@ -443,7 +443,7 @@ def test_a_mining_result_survives_pickle_and_deepcopy():
         assert type(revived.examined) is WalkTrace
         assert revived == result
         assert tuple(revived.examined) == stored
-        assert revived.candidates_examined == result.candidates_examined
+        assert len(revived.examined) == len(result.examined)
 
 
 def test_walk_trace_is_unhashable(demo_tree):
@@ -463,5 +463,5 @@ def test_the_walk_holds_one_level_not_its_whole_trace():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert result.candidates_examined == 73_185
-    assert peak < 64 * result.candidates_examined
+    assert len(result.examined) == 73_185
+    assert peak < 64 * len(result.examined)

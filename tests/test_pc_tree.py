@@ -36,7 +36,7 @@ def count_oracle(transactions, items):
 def test_demo_tree_shape(demo_tree):
     assert demo_tree.heads() == (2310, 2730)
     assert demo_tree.node_count == 7
-    assert demo_tree.transaction_count == 8
+    assert demo_tree.support(()) == 8
     nodes = demo_tree._node_by_value
     assert demo_tree.index.counts[nodes[455].birth] == 2
     # 910 arrived between 2730 and the earlier 455 and took 455 as its child
@@ -67,7 +67,7 @@ def test_duplicate_insert_bumps_local_count():
     tree.insert((C, D, F))
     assert tree.node_count == 1
     assert tree.index.counts[tree._node_by_value[455].birth] == 2
-    assert tree.transaction_count == 2
+    assert tree.support(()) == 2
     assert tree.validate() == []
 
 
@@ -94,7 +94,7 @@ def test_counted_insert_counts_every_copy():
     n455, n910 = tree._node_by_value[455], tree._node_by_value[910]
     assert (tree.index.counts[n455.birth], tree.index.counts[n910.birth]) == (7, 2)
     assert n910.children == [n455]
-    assert tree.transaction_count == 9
+    assert tree.support(()) == 9
     assert tree.frequency_table == {A: 2, B: 0, C: 9, D: 9, E: 0, F: 9}
     assert tree.validate() == []
 
@@ -114,7 +114,7 @@ def test_insert_rejects_foreign_item():
     with pytest.raises(KeyError):
         tree.insert((A, 99))
     # the failed insert must not have half-updated the bookkeeping
-    assert tree.transaction_count == 0
+    assert tree.support(()) == 0
 
 
 def test_fresh_tree_supports_nothing():
@@ -144,7 +144,7 @@ def test_validate_catches_corrupt_local_count(demo_tree):
 
 def test_validate_catches_a_counted_root(demo_tree):
     demo_tree.index.bump(0, 3)  # the root's bit: the empty itemset gets a count
-    assert demo_tree.transaction_count == demo_tree.support(()) == 11
+    assert demo_tree.support(()) == 11
     assert demo_tree.validate(deep=False) == ["root: count 3, not 0"]
     assert "root: count 3, not 0" in demo_tree.validate()
 
@@ -276,7 +276,7 @@ def test_count_excess_planes_edge_cases():
     tree = build_tree(TransactionDB.from_itemsets(SINGLE_ROWS, universe=range(6)))
     assert tree.support((99,)) == tree.support((A, 99)) == 0
     assert tree.index._planes == []  # no repeated row: every query is one popcount
-    assert tree.support(()) == tree.transaction_count == len(SINGLE_ROWS)
+    assert tree.support(()) == len(SINGLE_ROWS)
     assert tree.support((A,)) == 3
     # a count below 1, except the empty itemset's, a count that is not a plain int and
     # a bit no itemset holds are refused before the index changes
@@ -583,7 +583,7 @@ def test_covered_walks_a_1200_item_itemset_without_recursion():
 def test_tree_invariants_property(db):
     tree = build_tree(db)
     assert tree.validate() == []
-    assert tree.transaction_count == len(db)
+    assert tree.support(()) == len(db)
     # every transaction's value divides some head: heads cover the database
     table = tree.prime_table
     heads = tree.heads()
@@ -744,7 +744,7 @@ def full_shape(tree):
     nodes = {v: (parent[n].value, [c.value for c in n.children], counts[n.birth], n.birth)
              for v, n in tree._node_by_value.items()}
     planes = list(tree.index._planes), tree.index._repeated
-    return tree.heads(), nodes, dict(tree.frequency_table), tree.transaction_count, planes
+    return tree.heads(), nodes, dict(tree.frequency_table), tree.support(()), planes
 
 
 def row_by_row(db):
