@@ -37,7 +37,6 @@ from .prime_codec import (
     as_itemset,
     build_prime_table,
     decode,
-    divides,
     encode,
     first_n_primes,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "candidate_head",
     "candidate_head_set",
     "decode",
-    "divides",
     "encode",
     "first_n_primes",
     "generate_synthetic",

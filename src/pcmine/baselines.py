@@ -1,23 +1,25 @@
 """Reference miners: exhaustive enumeration and level-wise Apriori.
 
-TransactionDB is the one place a row is made canonical: every miner reads
-ascending, duplicate-free rows. Its constructor counts the rows in one pass
-and checks each distinct row of that count; TransactionDB.tally() is the
-count, read-only and the same mapping on every call, and a caller copies it
-to change it. build_tree reads it, and so does Apriori, which counts over a
-pc_tree.VerticalIndex built from it, the index pcminer's support queries
-read: one bit per distinct row, weighted by its multiplicity. The cost of
-sharing is that a bug in the tally or in VerticalIndex.support() would make
-pcminer and Apriori agree with each other. Brute force counts every
-non-empty subset of every raw row, which is the definition of support, and
-reads nothing the other two miners share, so it stays the independent
-check that such a bug makes them differ from; support() itself is tested
-against the paper's tree walk, PCTree.walk_support(). Brute force checks its
-one guard, the number of subsets it would count, before it counts anything,
-so a refusal costs nothing. Apriori builds each level in one pass, joining,
-pruning and counting each candidate in turn, and checks its two guards, on
-row tests and on candidates, before the level's first candidate, so a
-refused level is never built.
+TransactionDB's constructor is the one way a database is made, over a given
+universe or the ids its rows hold, and the one place a row is made
+canonical: every miner reads ascending, duplicate-free rows. It counts the
+rows in one pass and checks each distinct row of that count;
+TransactionDB.tally() is the count, read-only and the same mapping on every
+call, and a caller copies it to change it. build_tree reads it, and so does
+Apriori, which counts over a pc_tree.VerticalIndex built from it, the index
+pcminer's support queries read: one bit per distinct row, weighted by its
+multiplicity. The cost of sharing is that a bug in the tally or in
+VerticalIndex.support() would make pcminer and Apriori agree with each
+other. Brute force counts every non-empty subset of every raw row, which is
+the definition of support, and reads nothing the other two miners share,
+so it stays the independent check that such a bug makes them differ from;
+support() itself is tested against the paper's tree walk,
+PCTree.walk_support(). Brute force checks its one guard, the number of
+subsets it would count, before it counts anything, so a refusal costs
+nothing. Apriori builds each level in one pass, joining, pruning and
+counting each candidate in turn, and checks its two guards, on row tests
+and on candidates, before the level's first candidate, so a refused level
+is never built.
 """
 
 from __future__ import annotations
@@ -77,24 +79,29 @@ class TransactionDB:
 
     rows holds each transaction's itemset in order, and a transaction's id is
     its position: transaction t is rows[t - 1]. universe is the ascending
-    tuple of item ids the rows draw from; an id is a non-negative plain int,
-    not a bool or a float equal to one, in the universe and in every row,
-    checked before any two ids are compared. The constructor is the one
-    place a row is made canonical, by as_itemset(): a row that is already
-    strictly ascending is kept as it is, and any other is sorted, without
-    repeated items. It keeps tuples of what it is given, so a list
-    passed in cannot change the database later and a generator is read
-    once; a tuple of canonical rows is kept as it is. It counts the rows in
-    one pass and checks each distinct row once, in order of first
-    occurrence, so a refusal names the first transaction that holds a bad
-    row; it counts again only when it has rewritten a row. That count is
-    tally(), the one place duplicate rows are collapsed.
+    tuple of item ids the rows draw from, by default the ids the rows hold;
+    an id is a non-negative plain int, not a bool or a float equal to one,
+    in the universe and in every row, checked before any two ids are
+    compared. The constructor is the one way a database is made and the one
+    place a row is made canonical, by as_itemset(): a row may list its items
+    in any order and more than once, and a row that is already strictly
+    ascending is kept as it is, while any other is sorted, without repeated
+    items. It keeps tuples of what it is given, so a list passed in cannot
+    change the database later and a generator is read once; a tuple of
+    canonical rows is kept as it is. It counts the rows in one pass and
+    checks each distinct row once, in order of first occurrence, so a
+    refusal names the first transaction that holds a bad row; it counts
+    again only when it has rewritten a row. That count is tally(), the one
+    place duplicate rows are collapsed.
     """
 
     __slots__ = ("rows", "universe", "_tally")
 
-    def __init__(self, rows: Iterable[Iterable[int]], universe: Iterable[int]):
-        rows, universe = tuple(map(tuple, rows)), check_item_ids(tuple(universe))
+    def __init__(self, rows: Iterable[Iterable[int]], universe: Iterable[int] | None = None):
+        rows = tuple(map(tuple, rows))
+        if universe is None:
+            universe = sorted(check_item_ids(set().union(*rows)))
+        universe = check_item_ids(tuple(universe))
         allowed = set(universe)
         if list(universe) != sorted(allowed):
             raise ValueError("universe must be strictly ascending")
@@ -137,20 +144,6 @@ class TransactionDB:
 
     def __reduce__(self):  # copy and pickle through __init__, not attribute by attribute
         return self.__class__, (self.rows, self.universe)
-
-    @classmethod
-    def from_itemsets(cls, itemsets: Iterable[Iterable[int]],
-                      universe: Sequence[int] | None = None) -> "TransactionDB":
-        """A database whose transaction t holds the items of the t-th itemset.
-
-        An itemset may list its items in any order and more than once; the
-        constructor makes each row canonical. universe defaults to the union
-        of all items.
-        """
-        rows = tuple(map(tuple, itemsets))
-        if universe is None:
-            universe = sorted(check_item_ids(set().union(*rows)))
-        return cls(rows, universe)
 
     @property
     def transactions(self) -> tuple[tuple[int, Itemset], ...]:

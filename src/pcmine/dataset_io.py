@@ -1,11 +1,11 @@
 """Transaction-file loading, seeded synthetic databases, stats CSV output.
 
-The on-disk transaction format is one transaction per line: whitespace
-separated non-negative integer item ids. The synthetic generator runs on
-SplitMix64 so a spec reproduces the same database on any platform; the README
-documents the exact algorithm. Draw n of that stream depends on n alone, so
-the generator computes up to LANES consecutive draws at once, each in its own
-128-bit lane of one Python int.
+The on-disk transaction format is one transaction per line: non-negative
+integer item ids separated by ASCII whitespace. The synthetic generator runs
+on SplitMix64 so a spec reproduces the same database on any platform; the
+README documents the exact algorithm. Draw n of that stream depends on n
+alone, so the generator computes up to LANES consecutive draws at once, each
+in its own 128-bit lane of one Python int.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class _ItemIds(dict):
 
 
 def load_transactions(path) -> TransactionDB:
-    """Read a whitespace-separated transaction file.
+    """Read a transaction file of item ids separated by ASCII whitespace.
 
     Blank lines are skipped and reported in one aggregate warning, and the
     kept lines are the rows in file order, so a transaction's id is its
@@ -72,7 +72,9 @@ def load_transactions(path) -> TransactionDB:
     lines that parsed cleanly are remembered, so a bad token raises with the
     number of the first line that holds it. A byte that is not UTF-8 is read
     as a lone surrogate, so it makes a bad token too, reported with its file
-    and line.
+    and line. A line whose ids parse but which holds a non-ASCII character,
+    which can then only be a separator such as U+00A0 or U+3000, is refused
+    the same way; str.split() alone would read it as a space.
     """
     rows = []
     parsed: dict[str, tuple[int, ...]] = {}
@@ -84,9 +86,13 @@ def load_transactions(path) -> TransactionDB:
             row = parsed.get(line)
             if row is None:
                 try:
-                    row = parsed[line] = tuple(map(lookup, line.split()))
+                    row = tuple(map(lookup, line.split()))
+                    if not line.isascii():  # the ids are ASCII digits: a separator is not
+                        separator = next(char for char in line if not char.isascii())
+                        raise TransactionParseError(f"non-ASCII separator {separator!r}")
                 except TransactionParseError as exc:
                     raise TransactionParseError(f"{path}:{line_no}: {exc}") from None
+                parsed[line] = row
             if not row:
                 skipped += 1
                 continue

@@ -162,11 +162,14 @@ def maximal_frequent(frequent: Iterable[Itemset]) -> set[Itemset]:
 def candidate_head_set(tree: PCTree, sigma: int) -> set[Itemset]:
     """Antichain of per-head largest all-frequent subsets.
 
-    Heads whose items are all infrequent contribute nothing; reduced heads
-    contained in another reduced head are absorbed by it.
+    Each item's support is read from the tree's index, which leaves
+    PCTree.support() to the walk and its backfill. Heads whose items are all
+    infrequent contribute nothing; reduced heads contained in another
+    reduced head are absorbed by it.
     """
     sig = effective_sigma(sigma)
-    frequencies = tree.frequency_table
+    index = tree.index
+    frequencies = {item: index.support((item,)) for item in tree.prime_table}
     reduced = (candidate_head(node.items, frequencies, sig) for node in tree.root.children)
     return maximal_frequent(filter(None, reduced))
 
@@ -201,10 +204,10 @@ def mine(tree: PCTree, sigma: int) -> MiningResult:
     the tops larger than k. The cover is empty until the first frequent
     candidate, so until then no level reads it.
     The frequent items are read from the candidate heads, not from the
-    tree's frequency table a second time: each frequent item lies in the
-    head of a node that holds it, candidate_head keeps it there, and the
-    maximal reduction keeps a superset of that reduced head, while a
-    candidate head holds no infrequent item.
+    tree's index a second time: each frequent item lies in the head of a
+    node that holds it, candidate_head keeps it there, and the maximal
+    reduction keeps a superset of that reduced head, while a candidate head
+    holds no infrequent item.
     The tops are the maximal frequent itemsets of two or more items, and the
     frequent items that no top holds are the maximal singletons. Every
     frequent itemset is one of those singletons or a subset of a top, so

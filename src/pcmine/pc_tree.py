@@ -56,7 +56,7 @@ because new nodes are appended and adopted ones deleted in place;
 validate() checks that, the rows and the masks.
 
 Counts live in the index alone: a node's count is the one at its birth, the
-root is bit 0 as the empty itemset counting 0, and the item frequencies and
+root is bit 0 as the empty itemset counting 0, and the item supports and
 the transaction count are read from the index. Bit b is the b-th distinct
 transaction in first-occurrence order, the order of TransactionDB.tally(),
 so the same index can be built from the tally alone, with no placement.
@@ -79,7 +79,6 @@ stored; neither query reads it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from functools import reduce
 from operator import attrgetter, or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
@@ -214,14 +213,16 @@ class VerticalIndex:
     def covered(self, items: Iterable[int]) -> Iterator[Itemset]:
         """Each non-empty itemset over items that some stored itemset holds, once.
 
-        An itemset lists its items in the order of items and comes right
-        before its extensions by later items, depth first. Each open prefix
-        keeps the bits of its holders and the positions it has yet to try on
-        an explicit stack, so a stored itemset of any length stays clear of
-        the recursion limit. The prefixes on the stack are the itemsets
-        already yielded, so the stack costs no copies.
+        A repeated item counts once, as in support(), supersets() and
+        subsets(). An itemset lists its items in the order of their first
+        occurrence in items and comes right before its extensions by later
+        items, depth first. Each open prefix keeps the bits of its holders
+        and the positions it has yet to try on an explicit stack, so a stored
+        itemset of any length stays clear of the recursion limit. The
+        prefixes on the stack are the itemsets already yielded, so the stack
+        costs no copies.
         """
-        items = tuple(items)
+        items = tuple(dict.fromkeys(items))
         rows = [self.rows.get(item, 0) for item in items]
         stack = [((), -1, iter(range(len(items))))]  # prefix, its holders, positions left
         while stack:
@@ -278,11 +279,6 @@ class PCTree:
     def node_count(self) -> int:
         """Number of distinct transaction values stored."""
         return len(self._node_by_value)
-
-    @property
-    def frequency_table(self) -> dict[int, int]:
-        """Each item of the prime table with the number of transactions holding it."""
-        return {item: self.index.support((item,)) for item in self.prime_table}
 
     def insert(self, items: Iterable[int], count: int = 1) -> None:
         """Ingest count copies of one transaction (count >= 1).
@@ -404,17 +400,16 @@ class PCTree:
             # otherwise no descendant can be a multiple either: skip the branch
         return total
 
-    def validate(self, deep: bool = True) -> list[str]:
-        """Check tree invariants; returns one message per violation, empty when sound.
+    def validate(self) -> list[str]:
+        """Check every tree invariant; returns one message per violation, empty when sound.
 
-        The structural checks (a root count of 0 and node counts of at least
-        1, divisibility chains, children in ascending birth order, tree-wide
+        It checks a root count of 0 and node counts of at least 1,
+        divisibility chains, children in ascending birth order, tree-wide
         value uniqueness, the birth lookup, the level masks and the head
-        list) are linear in the tree. deep=True also checks every node's
-        cached factor set, the item rows rebuilt from them, and each item's
-        support() against a tally of the counts of the nodes holding it,
-        which is what walk_support() of the item's prime sums once the
-        factor sets match the values.
+        list, then every node's cached factor set, the item rows rebuilt
+        from them, and each item's support() against a tally of the counts
+        of the nodes holding it, which is what walk_support() of the item's
+        prime sums once the factor sets match the values.
         """
         problems = []
         counts = self.index.counts
@@ -455,26 +450,21 @@ class PCTree:
             problems.append("level masks disagree with the nodes' depths")
         if dict(enumerate(self._heads)) != head_of:
             problems.append("head list disagrees with the tree shape")
-        if deep:
-            births: dict[int, list[int]] = {}
-            walked: Counter[int] = Counter()
-            for node in self._nodes[1:]:
-                if encode(node.items, self.prime_table) != node.value:
-                    problems.append(
-                        f"node {node.value}: cached items {node.items} disagree with the value"
-                    )
-                for item in node.items:
-                    births.setdefault(item, []).append(node.birth)
-                    walked[item] += counts[node.birth]
-            rows = self.index.rows
-            for item in births.keys() | rows.keys():
-                if rows.get(item, 0) != _mask(births.get(item, ())):
-                    problems.append(f"item {item}: bit row disagrees with the nodes holding it")
-            for item in self.prime_table:
-                if (got := self.index.support((item,))) != walked[item]:
-                    problems.append(
-                        f"item {item}: support() says {got}, walk_support() says {walked[item]}"
-                    )
+        births: dict[int, list[int]] = {}  # item -> the births of the nodes holding it
+        for node in self._nodes[1:]:
+            if encode(node.items, self.prime_table) != node.value:
+                problems.append(
+                    f"node {node.value}: cached items {node.items} disagree with the value")
+            for item in node.items:
+                births.setdefault(item, []).append(node.birth)
+        rows = self.index.rows
+        for item in births.keys() | rows.keys():
+            if rows.get(item, 0) != _mask(births.get(item, ())):
+                problems.append(f"item {item}: bit row disagrees with the nodes holding it")
+        for item in self.prime_table:
+            walked = sum(map(counts.__getitem__, births.get(item, ())))
+            if (got := self.index.support((item,))) != walked:
+                problems.append(f"item {item}: support() says {got}, walk_support() says {walked}")
         return problems
 
 

@@ -4,8 +4,9 @@ Every item id in a universe gets a distinct prime, ascending id to ascending
 prime starting at 2. An itemset then encodes to the product of its primes: a
 square-free positive integer that is 1 exactly for the empty set. The payoff
 is that subset queries turn into integer divisibility: q's itemset is
-contained in p's itemset if and only if q divides p. Products of even modest
-itemsets overflow machine words, so values are plain Python ints throughout.
+contained in p's itemset if and only if q divides p, which is written
+p % q == 0 wherever it is tested. Products of even modest itemsets overflow
+machine words, so values are plain Python ints throughout.
 
 The prime table (build_prime_table) is a read-only mapping from item id to
 prime, a types.MappingProxyType, and safe to share between threads. Ascending
@@ -144,10 +145,3 @@ def decode(value: int, table: Mapping[int, int]) -> Itemset:
         )
     # the table iterates in ascending id order, so items is already sorted
     return tuple(items)
-
-
-def divides(q: int, p: int) -> bool:
-    """True iff q divides p, i.e. q's itemset is a subset of p's itemset."""
-    if q < 1 or p < 1:
-        raise ValueError("transaction values are positive")
-    return p % q == 0

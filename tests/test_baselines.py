@@ -103,22 +103,23 @@ def test_items_that_are_not_plain_ints_are_refused(rows, universe, message):
 
 @pytest.mark.parametrize("itemsets", [[(-3, 1)], [(1,), ("a",)], [(2, 0.5)]],
                          ids=["negative", "mixed", "fraction"])
-def test_from_itemsets_refuses_bad_ids_before_sorting_them(itemsets):
+def test_default_universe_refuses_bad_ids_before_sorting_them(itemsets):
     with pytest.raises(ValueError, match="item ids must be non-negative integers, got "):
-        TransactionDB.from_itemsets(itemsets)
+        TransactionDB(itemsets)
 
 
 def test_tally_keeps_first_occurrence_order_and_every_row():
-    db = TransactionDB.from_itemsets([(B,), (A, C), (B,), (D,), (A, C), (B,)])
+    db = TransactionDB([(B,), (A, C), (B,), (D,), (A, C), (B,)])
     tally = db.tally()
     assert list(tally.items()) == [((B,), 3), ((A, C), 2), ((D,), 1)]
     assert sum(tally.values()) == len(db)
 
 
-def test_from_itemsets_assigns_tids_and_universe():
-    db = TransactionDB.from_itemsets([(2, 0), (1,)])
+def test_default_universe_is_the_ids_the_rows_hold():
+    db = TransactionDB([(2, 0), (1,)])
     assert db.rows == ((0, 2), (1,))
     assert db.universe == (0, 1, 2)
+    assert db == TransactionDB([(0, 2), (1,)], (0, 1, 2)) and TransactionDB([]).universe == ()
     assert len(db) == 2
     # The views bench/run.py and bench/spans.py read: a tid is a 1-based position.
     assert db.transactions == tuple(enumerate(db.rows, start=1)) == ((1, (0, 2)), (2, (1,)))
@@ -137,7 +138,7 @@ def test_each_module_imports_first_in_a_fresh_interpreter(module):
 
 
 def test_brute_force_single_transaction():
-    db = TransactionDB.from_itemsets([(A, B)])
+    db = TransactionDB([(A, B)])
     result = brute_force_mine(db, 1)
     assert result.frequent == {(A,): 1, (B,): 1, (A, B): 1}
     assert result.candidates_generated == 3
@@ -157,7 +158,7 @@ def test_brute_force_high_sigma_keeps_nothing(demo_db):
 
 def test_brute_force_guard():
     # one 25-item row holds 2**25 - 1 subsets, refused before any is counted
-    db = TransactionDB.from_itemsets([tuple(range(25))])
+    db = TransactionDB([tuple(range(25))])
     start = time.perf_counter()
     with pytest.raises(UniverseTooLargeError, match=(
             r"the exhaustive miner is capped: its rows hold 2\*\*24 or more subsets, "
@@ -173,7 +174,7 @@ GUARD_ROWS = [(A, B, C), (A, B), (A, B, C)]
 
 
 def test_brute_force_work_guard(monkeypatch):
-    db = TransactionDB.from_itemsets(GUARD_ROWS)
+    db = TransactionDB(GUARD_ROWS)
     monkeypatch.setattr(baselines, "BRUTE_FORCE_MAX_WORK", 17)  # exactly the work
     assert len(brute_force_mine(db, 1).frequent) == 7
     monkeypatch.setattr(baselines, "BRUTE_FORCE_MAX_WORK", 16)
@@ -187,7 +188,7 @@ def test_brute_force_work_guard(monkeypatch):
 
 
 def test_apriori_work_guard(monkeypatch):
-    db = TransactionDB.from_itemsets(GUARD_ROWS)
+    db = TransactionDB(GUARD_ROWS)
     monkeypatch.setattr(baselines, "APRIORI_MAX_WORK", 8)  # exactly the work
     assert len(apriori_mine(db, 1).frequent) == 7
     monkeypatch.setattr(baselines, "APRIORI_MAX_WORK", 7)
@@ -198,7 +199,7 @@ def test_apriori_work_guard(monkeypatch):
 
 
 def test_apriori_candidate_guard(monkeypatch):
-    db = TransactionDB.from_itemsets(GUARD_ROWS)  # 3 pairs and 1 triple joined
+    db = TransactionDB(GUARD_ROWS)  # 3 pairs and 1 triple joined
     monkeypatch.setattr(baselines, "APRIORI_MAX_CANDIDATES", 4)  # exactly the joins
     assert len(apriori_mine(db, 1).frequent) == 7
     monkeypatch.setattr(baselines, "APRIORI_MAX_CANDIDATES", 3)
@@ -219,7 +220,7 @@ def test_apriori_work_guard_refuses_a_level_before_joining_it(monkeypatch):
     monkeypatch.setattr(baselines, "APRIORI_MAX_WORK", 5)
     monkeypatch.setattr(baselines, "combinations", lambda *args: joined.append(args) or ())
     with pytest.raises(UniverseTooLargeError, match="the 2-item candidates bring its scans to 6"):
-        apriori_mine(TransactionDB.from_itemsets(GUARD_ROWS), 1)
+        apriori_mine(TransactionDB(GUARD_ROWS), 1)
     assert joined == []
 
 
@@ -250,7 +251,7 @@ def test_apriori_join_level():
 def test_apriori_prune_level(monkeypatch):
     # At support 1 the frequent pairs are A-C, A-D, C-D and C-F, not D-F, so
     # C-D-F is joined from C-D and C-F but pruned before any support query.
-    db = TransactionDB.from_itemsets([(A, C, D), (C, F)], universe=range(6))
+    db = TransactionDB([(A, C, D), (C, F)], universe=range(6))
     counted = []
     support = VerticalIndex.support
     monkeypatch.setattr(VerticalIndex, "support",
@@ -341,7 +342,7 @@ def small_databases(draw):
     rows = draw(st.lists(
         st.sets(st.integers(min_value=0, max_value=n_items - 1), min_size=1),
         min_size=1, max_size=16))
-    return TransactionDB.from_itemsets(rows, universe=range(n_items))
+    return TransactionDB(rows, universe=range(n_items))
 
 
 @st.composite
@@ -350,7 +351,7 @@ def repeated_databases(draw):
     db = draw(small_databases())
     rows = [items for items in db.rows
             for _ in range(draw(st.integers(min_value=1, max_value=4)))]
-    return TransactionDB.from_itemsets(draw(st.permutations(rows)), universe=db.universe)
+    return TransactionDB(draw(st.permutations(rows)), universe=db.universe)
 
 
 @given(db=st.one_of(small_databases(), repeated_databases()),

@@ -72,7 +72,7 @@ def test_load_repeated_lines_gives_every_row(tmp_path):
     rows = [(3, 1), (2,), (3, 1), (1, 3), (2,), (5, 1, 2), (3, 1)] * 30
     text = "".join(" ".join(map(str, row)) + "\n" for row in rows)
     db = load_transactions(write_file(tmp_path, text))
-    assert db == TransactionDB.from_itemsets(rows)
+    assert db == TransactionDB(rows)
     assert db.universe == (1, 2, 3, 5)
     # Each repeat of a line's text holds the very tuple that its first copy parsed to.
     first = {}
@@ -137,6 +137,18 @@ def test_load_reports_the_first_line_of_a_bad_token_after_cached_lines(tmp_path,
     with pytest.raises(TransactionParseError) as err:
         load_transactions(path)
     assert str(err.value) == f"{path}:{line}: bad item id {token}"
+
+
+@pytest.mark.parametrize("separator", ["\u00a0", "\u3000"], ids=["U+00A0", "U+3000"])
+def test_load_refuses_a_non_ascii_separator_with_file_and_line(tmp_path, separator):
+    path = write_file(tmp_path, f"1 2\n1{separator}2\n3 4\n")
+    with pytest.raises(TransactionParseError) as err:
+        load_transactions(path)
+    assert str(err.value) == f"{path}:2: non-ASCII separator {separator!r}"
+    # a bad token on such a line is reported as one, as before
+    path = write_file(tmp_path, f"1 2\nx{separator}2\n")
+    with pytest.raises(TransactionParseError, match=":2: bad item id 'x'$"):
+        load_transactions(path)
 
 
 def test_load_missing_file(tmp_path):

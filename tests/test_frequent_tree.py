@@ -51,7 +51,7 @@ def databases(draw):
         rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
     else:
         rows = draw(st.lists(itemsets, min_size=1, max_size=16))
-    return TransactionDB.from_itemsets(rows, universe=range(n_items))
+    return TransactionDB(rows, universe=range(n_items))
 
 
 @given(db=databases())

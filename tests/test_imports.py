@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports, and reads no
 private attribute of another object; the package exports exactly the names
-its __init__ imports.
+its __init__ imports, and each of them is read somewhere else.
 
 A name listed in the module's __all__ counts as used, and so does an import
 on a line marked "# noqa: F401", which keeps a name other code reads from
@@ -8,14 +8,24 @@ the module. A private name is one that starts with an underscore and is not
 a dunder; self and cls may use their own attributes, namedtuple's public
 methods (_make, _replace, _asdict, _fields) are not private, and importing a
 private name from another module counts as reading it.
+
+An exported name is read when a package module other than __init__, a
+bench script or a README example loads it as a name or an attribute,
+outside a def or class of that name, or holds it as a string, as getattr()
+and setattr() take it: the CLI's dispatch table and bench/spans.py's
+targets name their functions so.
 """
 
 import ast
+import doctest
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pcmine"
+import pcmine
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pcmine"
 
 
 def unused_imports(source):
@@ -103,3 +113,50 @@ def test_an_export_drift_is_found():
     source = ("from .codec import decode, encode as enc\nfrom .tree import build\n"
               "__version__ = '1'\n__all__ = ['build', 'decode', 'gone']\n")
     assert export_drift(source) == (["enc"], ["gone"])
+
+
+def names_read(source):
+    """Names source loads or holds as a string, outside a def or class of that name."""
+    found = set()
+    pending = [(ast.parse(source), frozenset())]  # node, the defs and classes around it
+    while pending:
+        node, around = pending.pop()
+        if isinstance(node, ast.Assign) and "__all__" in [
+                target.id for target in node.targets if isinstance(target, ast.Name)]:
+            continue  # an export list names, it does not read
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            around |= {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            name = None
+        if name not in around:
+            found.add(name)
+        pending += [(child, around) for child in ast.iter_child_nodes(node)]
+    return found - {None}
+
+
+def test_every_export_is_read_outside_its_definition():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"]
+    sources += [path.read_text(encoding="utf-8") for path in sorted((ROOT / "bench").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources.append("".join(example.source
+                           for example in doctest.DocTestParser().get_examples(readme)))
+    read = set().union(*map(names_read, sources))
+    assert sorted(set(pcmine.__all__) - read) == []
+
+
+def test_an_unread_export_is_found():
+    source = ("def solo():\n    return solo()\n"
+              "def used(x):\n    return x\n"
+              "class Shape:\n    def copy(self):\n        return Shape()\n"
+              "__all__ = ['gone', 'named']\n"
+              "used(1).attr, getattr(module, 'named')\n")
+    read = names_read(source)
+    assert {"used", "attr", "named"} <= read
+    assert not {"solo", "Shape", "gone"} & read

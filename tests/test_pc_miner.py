@@ -30,7 +30,7 @@ from pcmine.pc_miner import (
 )
 from pcmine.pc_tree import build_tree
 from pcmine.prime_codec import encode
-from tests.test_pc_tree import adversarial_databases, databases
+from tests.test_pc_tree import adversarial_databases, databases, item_supports
 
 A, B, C, D, E, F = range(6)
 
@@ -182,7 +182,7 @@ def small_databases(draw):
     rows = draw(st.lists(
         st.sets(st.integers(min_value=0, max_value=n_items - 1), min_size=1),
         min_size=1, max_size=16))
-    return TransactionDB.from_itemsets(rows, universe=range(n_items))
+    return TransactionDB(rows, universe=range(n_items))
 
 
 @given(db=small_databases(), sigma=st.integers(min_value=1, max_value=8))
@@ -199,14 +199,14 @@ def test_mine_matches_brute_force_property(db, sigma):
 
 def test_one_long_transaction_is_its_own_only_candidate_and_maximal_set():
     x = tuple(range(16))
-    result = mine(build_tree(TransactionDB.from_itemsets([x])), 1)
+    result = mine(build_tree(TransactionDB([x])), 1)
     assert result.examined == result.maximal == (x,)
     assert len(result.frequent) == 2 ** 16 - 1
 
 
 def at_most_ten_frequent_items(tree, sigma):
     """sigma, raised until at most ten items are frequent: at most 1,023 frequent itemsets."""
-    counts = sorted(tree.frequency_table.values(), reverse=True)
+    counts = sorted(item_supports(tree).values(), reverse=True)
     return max(sigma, counts[10] + 1) if len(counts) > 10 else sigma
 
 
@@ -222,7 +222,7 @@ def spawning_walk(tree, sigma):
     known frequent is skipped when its turn comes.
     """
     sig = effective_sigma(sigma)
-    frequent = {(item,) for item, count in tree.frequency_table.items() if count >= sig}
+    frequent = {(item,) for item, count in item_supports(tree).items() if count >= sig}
     tops = list(frequent)
     levels = {}
     for head in candidate_head_set(tree, sig):
@@ -313,7 +313,7 @@ def test_dense_duplicate_database_walks_like_the_spawning_walk():
     # overlap, and at 4 they cover most of the lower levels' candidates
     rng = random.Random(0)
     rows = [rng.sample(range(12), 10) for _ in range(30)]
-    db = TransactionDB.from_itemsets([row for row in rows for _ in range(3)])
+    db = TransactionDB([row for row in rows for _ in range(3)])
     tree = build_tree(db)
     for sigma, examined, tops in ((2, 24, 24), (4, 290, 66)):
         result = mine(tree, sigma)
@@ -341,7 +341,7 @@ def test_frequent_items_are_the_union_of_the_candidate_heads(db, data):
     sigma = at_most_ten_frequent_items(tree, data.draw(st.integers(1, len(db) + 1)))
     mined = {item for itemset in mine(tree, sigma).frequent for item in itemset}
     assert mined == set().union(*candidate_head_set(tree, sigma)) == {
-        item for item, count in tree.frequency_table.items() if count >= sigma}
+        item for item, count in item_supports(tree).items() if count >= sigma}
 
 
 # ------------------------------------------------------------ maximal members
@@ -377,7 +377,7 @@ def overlapping_tops_walk():
     """30 random 10-of-12 rows, each three times, at 4: 290 examined under 66 overlapping tops."""
     rng = random.Random(0)
     rows = [rng.sample(range(12), 10) for _ in range(30)]
-    tree = build_tree(TransactionDB.from_itemsets([row for row in rows for _ in range(3)]))
+    tree = build_tree(TransactionDB([row for row in rows for _ in range(3)]))
     return tree, 4
 
 

@@ -30,6 +30,11 @@ def count_oracle(transactions, items):
     return sum(1 for t in transactions if wanted.issubset(t))
 
 
+def item_supports(tree):
+    """Each item of the tree's prime table with its support."""
+    return {item: tree.support((item,)) for item in tree.prime_table}
+
+
 # ---------------------------------------------------------------- demo shape
 
 
@@ -45,7 +50,7 @@ def test_demo_tree_shape(demo_tree):
 
 
 def test_demo_item_frequencies(demo_tree):
-    assert demo_tree.frequency_table == {A: 6, B: 3, C: 7, D: 7, E: 3, F: 4}
+    assert item_supports(demo_tree) == {A: 6, B: 3, C: 7, D: 7, E: 3, F: 4}
 
 
 def test_demo_supports(demo_tree):
@@ -95,7 +100,7 @@ def test_counted_insert_counts_every_copy():
     assert (tree.index.counts[n455.birth], tree.index.counts[n910.birth]) == (7, 2)
     assert n910.children == [n455]
     assert tree.support(()) == 9
-    assert tree.frequency_table == {A: 2, B: 0, C: 9, D: 9, E: 0, F: 9}
+    assert item_supports(tree) == {A: 2, B: 0, C: 9, D: 9, E: 0, F: 9}
     assert tree.validate() == []
 
 
@@ -139,14 +144,13 @@ def test_single_transaction_tree():
 
 def test_validate_catches_corrupt_local_count(demo_tree):
     demo_tree.index.counts[demo_tree._node_by_value[70].birth] = 0
-    assert "node 70: count 0 < 1" in demo_tree.validate(deep=False)
+    assert "node 70: count 0 < 1" in demo_tree.validate()
 
 
 def test_validate_catches_a_counted_root(demo_tree):
     demo_tree.index.bump(0, 3)  # the root's bit: the empty itemset gets a count
     assert demo_tree.support(()) == 11
-    assert demo_tree.validate(deep=False) == ["root: count 3, not 0"]
-    assert "root: count 3, not 0" in demo_tree.validate()
+    assert demo_tree.validate() == ["root: count 3, not 0"]
 
 
 def test_validate_catches_duplicate_value(demo_tree):
@@ -160,35 +164,35 @@ def test_validate_catches_duplicate_value(demo_tree):
 def test_validate_catches_divisibility_break(demo_tree):
     node = demo_tree._node_by_value[70]
     node.value = 26  # not a divisor of its parent 770
-    assert any("divide" in p for p in demo_tree.validate(deep=False))
+    assert any("divide" in p for p in demo_tree.validate())
 
 
 def test_validate_catches_a_node_equal_to_its_parent(demo_tree):
     node = demo_tree._node_by_value[70]
     node.value = 770  # divides its parent 770, but is not strictly below it
-    assert "node 770 is not strictly below parent 770" in demo_tree.validate(deep=False)
+    assert "node 770 is not strictly below parent 770" in demo_tree.validate()
 
 
 def test_validate_catches_cached_items_that_disagree_with_the_value(demo_tree):
     demo_tree._node_by_value[70].items = (A, C)
-    problems = demo_tree.validate()
-    assert f"node 70: cached items {(A, C)} disagree with the value" in problems
-    assert not any("cached items" in p for p in demo_tree.validate(deep=False))
+    # the rows and supports rebuilt from the cached items lose D at node 70 too
+    assert demo_tree.validate() == [f"node 70: cached items {(A, C)} disagree with the value",
+                                    f"item {D}: bit row disagrees with the nodes holding it",
+                                    f"item {D}: support() says 7, walk_support() says 6"]
 
 
 def test_validate_catches_a_node_missing_from_an_item_row(demo_tree):
     node = demo_tree._node_by_value[70]  # holds A, C and D
     demo_tree.index.rows[C] &= ~(1 << node.birth)
-    problems = demo_tree.validate()
-    assert f"item {C}: bit row disagrees with the nodes holding it" in problems
-    assert demo_tree.validate(deep=False) == []  # shallow scope skips the rows
+    assert demo_tree.validate() == [f"item {C}: bit row disagrees with the nodes holding it",
+                                    f"item {C}: support() says 6, walk_support() says 7"]
 
 
 @pytest.mark.parametrize("value", [2310, 455])
 def test_validate_catches_a_flipped_head_bit(demo_tree, value):
     # clears a head's bit in the depth-1 mask, or sets a deeper node's bit there
     demo_tree._levels[1] ^= 1 << demo_tree._node_by_value[value].birth
-    assert "level masks disagree with the nodes' depths" in demo_tree.validate(deep=False)
+    assert "level masks disagree with the nodes' depths" in demo_tree.validate()
 
 
 @pytest.mark.parametrize("value, to_depth", [(455, 1), (2310, 2)])
@@ -199,7 +203,7 @@ def test_validate_catches_a_node_on_the_wrong_level(demo_tree, value, to_depth):
     depth = next(d for d, level in enumerate(levels) if level & bit)
     levels[depth] ^= bit
     levels[to_depth] |= bit
-    assert "level masks disagree with the nodes' depths" in demo_tree.validate(deep=False)
+    assert "level masks disagree with the nodes' depths" in demo_tree.validate()
 
 
 @pytest.mark.parametrize("value, head", [(910, 2310), (2730, None)])
@@ -207,19 +211,19 @@ def test_validate_catches_a_wrong_head_list_entry(demo_tree, value, head):
     # points a depth-2 node of head 2730 at head 2310, or a head at the root
     nodes = demo_tree._node_by_value
     demo_tree._heads[nodes[value].birth] = 0 if head is None else nodes[head].birth
-    assert "head list disagrees with the tree shape" in demo_tree.validate(deep=False)
+    assert "head list disagrees with the tree shape" in demo_tree.validate()
 
 
 def test_validate_catches_a_stale_birth_lookup(demo_tree):
     nodes = demo_tree._nodes
     nodes[1], nodes[2] = nodes[2], nodes[1]
-    assert any("not found under its birth" in p for p in demo_tree.validate(deep=False))
+    assert any("not found under its birth" in p for p in demo_tree.validate())
 
 
 def test_validate_catches_children_out_of_birth_order(demo_tree):
     heads = demo_tree.root.children
     heads[0], heads[1] = heads[1], heads[0]
-    assert any("birth order" in p for p in demo_tree.validate(deep=False))
+    assert any("birth order" in p for p in demo_tree.validate())
 
 
 # ------------------------------------------------------- support queries
@@ -243,7 +247,7 @@ SINGLE_ROWS = [(A,), (B, C), (D, E), (A, C, E), (F,), (A, B, C, D, E, F)]
 def test_count_excess_planes_answer_every_subset(copies):
     # plane j holds bit j of a count c - 1, so c needs (c - 1).bit_length() planes
     rows = [(B, C, D)] * copies + SINGLE_ROWS
-    tree = build_tree(TransactionDB.from_itemsets(rows, universe=range(6)))
+    tree = build_tree(TransactionDB(rows, universe=range(6)))
     table = tree.prime_table
     for size in range(7):
         for items in combinations(range(6), size):
@@ -273,7 +277,7 @@ def test_planes_match_a_plane_by_plane_reference(steps):
 
 
 def test_count_excess_planes_edge_cases():
-    tree = build_tree(TransactionDB.from_itemsets(SINGLE_ROWS, universe=range(6)))
+    tree = build_tree(TransactionDB(SINGLE_ROWS, universe=range(6)))
     assert tree.support((99,)) == tree.support((A, 99)) == 0
     assert tree.index._planes == []  # no repeated row: every query is one popcount
     assert tree.support(()) == len(SINGLE_ROWS)
@@ -331,9 +335,10 @@ def test_validate_catches_a_flipped_plane_bit(demo_tree):
     node = demo_tree._node_by_value[455]  # C, D and F, counted twice
     first, *rest = demo_tree.index._planes
     demo_tree.index._planes = (first ^ 1 << node.birth, *rest)
-    problems = demo_tree.validate()
-    assert f"item {C}: support() says 6, walk_support() says 7" in problems
-    assert demo_tree.validate(deep=False) == []  # shallow scope skips the planes
+    # every item of node 455 reads one count less; the rows are untouched
+    assert demo_tree.validate() == [f"item {C}: support() says 6, walk_support() says 7",
+                                    f"item {D}: support() says 6, walk_support() says 7",
+                                    f"item {F}: support() says 3, walk_support() says 4"]
 
 
 @pytest.mark.parametrize("value, items", [
@@ -378,7 +383,7 @@ def test_deep_chain_builds_and_mines_like_apriori(order):
         rows.reverse()
     elif order == "shuffled":
         random.Random(5).shuffle(rows)
-    db = TransactionDB.from_itemsets(rows)
+    db = TransactionDB(rows)
     tree = build_tree(db)
     assert tree.heads() == (encode(range(depth), tree.prime_table),)
     assert tree.validate() == []
@@ -431,8 +436,7 @@ def test_invariants_hold_after_every_insertion():
     tree = PCTree(build_prime_table(db.universe))
     for items in db.rows:
         tree.insert(items)
-        assert tree.validate(deep=False) == []
-    assert tree.validate() == []
+        assert tree.validate() == []
 
 
 def test_queries_are_insertion_order_independent(demo_db):
@@ -443,11 +447,11 @@ def test_queries_are_insertion_order_independent(demo_db):
     for seed in range(6):
         shuffled = list(demo_db.rows)
         random.Random(seed).shuffle(shuffled)
-        tree = build_tree(TransactionDB.from_itemsets(shuffled, universe=demo_db.universe))
+        tree = build_tree(TransactionDB(shuffled, universe=demo_db.universe))
         assert tree.validate() == []
         for probe in probes:
             assert tree.support(probe) == tree.walk_support(encode(probe, table)) == expected[probe]
-        assert tree.frequency_table == reference.frequency_table
+        assert item_supports(tree) == item_supports(reference)
 
 
 # ------------------------------------------------------------- properties
@@ -459,7 +463,7 @@ def databases(draw):
     rows = draw(st.lists(
         st.sets(st.integers(min_value=0, max_value=n_items - 1), min_size=1),
         min_size=1, max_size=24))
-    return TransactionDB.from_itemsets(rows, universe=range(n_items))
+    return TransactionDB(rows, universe=range(n_items))
 
 
 def identical_rows():
@@ -486,7 +490,7 @@ def chain_rows():
 @st.composite
 def adversarial_databases(draw):
     rows = draw(st.one_of(identical_rows(), giant_rows(), chain_rows()))
-    return TransactionDB.from_itemsets(rows)
+    return TransactionDB(rows)
 
 
 @given(db=st.one_of(databases(), adversarial_databases()), data=st.data())
@@ -568,6 +572,14 @@ def test_covered_edge_cases():
     assert list(index.covered([7])) == []  # no row holds item 7
     assert list(index.covered([])) == []
     assert list(index.covered([2, 7, 1])) == [(2,), (2, 1), (1,)]
+
+
+def test_covered_counts_a_repeated_item_once():
+    index = VerticalIndex()
+    index.add((1, 2), 1)
+    assert list(index.covered((1, 1))) == [(1,)]
+    assert list(index.covered((2, 1, 2))) == [(2,), (2, 1), (1,)]  # first occurrences order
+    assert index.support((2, 1, 2)) == index.support((1, 2)) == 1
 
 
 def test_covered_walks_a_1200_item_itemset_without_recursion():
@@ -701,17 +713,17 @@ def overlapping_block_rows():
                       identical_rows(), overlapping_block_rows()))
 @settings(max_examples=80, deadline=None)
 def test_placement_matches_the_naive_reference(rows):
-    db = TransactionDB.from_itemsets(rows)
+    db = TransactionDB(rows)
     tree = build_tree(db)
     assert tree_shape(tree) == reference_shape(db)
-    assert tree.validate(deep=False) == []
+    assert tree.validate() == []
 
 
 def test_wide_prefix_matches_reference_and_apriori():
     # 2,000 rows of the wide workload's database: the first inserts meet a few
     # heads, the later ones hundreds
     full = generate_synthetic(SyntheticSpec(8000, 60, 0.1, seed=3))
-    db = TransactionDB.from_itemsets(full.rows[:2000], universe=full.universe)
+    db = TransactionDB(full.rows[:2000], universe=full.universe)
     tree = build_tree(db)
     assert tree_shape(tree) == reference_shape(db)
     assert tree.validate() == []
@@ -723,7 +735,7 @@ def test_one_value_adopts_several_non_adjacent_heads():
     # 40 one-item heads, then a 4-item and a 7-item row: each takes its items'
     # heads out of the middle of the root list
     short, long = (3, 11, 27, 38), (0, 5, 9, 14, 20, 33, 39)
-    db = TransactionDB.from_itemsets([(i,) for i in range(40)] + [short, long])
+    db = TransactionDB([(i,) for i in range(40)] + [short, long])
     tree = build_tree(db)
     table = tree.prime_table
     singles = [table[i] for i in range(40) if i not in short + long]
@@ -744,7 +756,7 @@ def full_shape(tree):
     nodes = {v: (parent[n].value, [c.value for c in n.children], counts[n.birth], n.birth)
              for v, n in tree._node_by_value.items()}
     planes = list(tree.index._planes), tree.index._repeated
-    return tree.heads(), nodes, dict(tree.frequency_table), tree.support(()), planes
+    return tree.heads(), nodes, item_supports(tree), tree.support(()), planes
 
 
 def row_by_row(db):
@@ -768,7 +780,7 @@ def duplicate_heavy_databases(draw):
                          min_size=2, max_size=15))
     rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=150))
     rows = draw(st.permutations(rows))
-    return TransactionDB.from_itemsets(rows, universe=range(10))
+    return TransactionDB(rows, universe=range(10))
 
 
 @given(db=duplicate_heavy_databases())
@@ -780,7 +792,7 @@ def test_tallied_build_matches_one_insert_per_row(db):
 def test_dense_prefix_inserts_once_per_distinct_itemset(monkeypatch):
     # the first 4,000 rows of the dense workload's database, mostly repeats
     full = generate_synthetic(SyntheticSpec(40000, 12, 0.6, seed=1))
-    db = TransactionDB.from_itemsets(full.rows[:4000], universe=full.universe)
+    db = TransactionDB(full.rows[:4000], universe=full.universe)
     calls = []
 
     def counted(self, items, count=1, _insert=PCTree.insert):

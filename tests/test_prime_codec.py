@@ -17,7 +17,6 @@ from pcmine.prime_codec import (
     as_itemset,
     build_prime_table,
     decode,
-    divides,
     encode,
     first_n_primes,
 )
@@ -93,7 +92,7 @@ def test_prime_table_is_a_mappingproxy_with_its_limits():
     pickled or deep-copied, and its shallow copy shares the table. A lookup
     of a missing id raises a plain KeyError."""
     table = build_prime_table([3, 5])
-    tree = build_tree(TransactionDB.from_itemsets([(3, 5), (5,)]))
+    tree = build_tree(TransactionDB([(3, 5), (5,)]))
     for operation, value in [(pickle.dumps, table), (copy.copy, table), (copy.deepcopy, table),
                              (pickle.dumps, tree), (copy.deepcopy, tree)]:
         with pytest.raises(TypeError, match="cannot pickle 'mappingproxy' object"):
@@ -159,13 +158,14 @@ def test_decode_rejects_foreign_and_square(six_table):
         decode(0, six_table)
 
 
-def test_divides_known_values():
-    assert divides(66, 2310)
-    assert not divides(455, 770)
-    assert divides(70, 70)
-    assert divides(1, 9699690)
-    with pytest.raises(ValueError):
-        divides(0, 6)
+def test_divides_known_values(six_table):
+    """x's value q divides y's value p, p % q == 0, exactly when x is a subset of y."""
+    for x, q, y, p in [((A, B, E), 66, (A, B, C, D, E), 2310),
+                       ((C, D, F), 455, (A, C, D, E), 770),
+                       ((A, C, D), 70, (A, C, D), 70),
+                       ((), 1, (A, B, C, D, E, F), 30030)]:
+        assert (encode(x, six_table), encode(y, six_table)) == (q, p)
+        assert (p % q == 0) == set(x).issubset(y)
 
 
 def test_as_itemset_canonicalizes():
@@ -183,13 +183,13 @@ def test_as_itemset_is_the_sorted_distinct_items(items, kind):
 
 
 def test_subset_divisibility_exhaustive_small(six_table):
-    """divides(encode(x), encode(y)) iff x is a subset of y, all 6-item pairs."""
+    """encode(x) divides encode(y) iff x is a subset of y, all 6-item pairs."""
     universe = list(range(6))
     subsets = [()] + [c for k in range(1, 7) for c in combinations(universe, k)]
     for x in subsets:
         vx = encode(x, six_table)
         for y in subsets:
-            assert divides(vx, encode(y, six_table)) == set(x).issubset(y)
+            assert (encode(y, six_table) % vx == 0) == set(x).issubset(y)
 
 
 itemsets_12 = st.sets(st.integers(min_value=0, max_value=11))
@@ -205,7 +205,7 @@ def test_round_trip(items):
 @given(x=itemsets_12, y=itemsets_12)
 def test_subset_divisibility_property(x, y):
     table = build_prime_table(range(12))
-    assert divides(encode(x, table), encode(y, table)) == x.issubset(y)
+    assert (encode(y, table) % encode(x, table) == 0) == x.issubset(y)
 
 
 @given(x=itemsets_12, extra=st.sets(st.integers(min_value=0, max_value=11), min_size=1))
